@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .derivations import check_derivation, parse_derivation
+from .derivations import parse_derivation, print_derivation
 from .envs import env_empty, parse_env, print_judgment
-from .errors import InputSyntaxError, KernelError
+from .errors import InputSyntaxError, KernelError, RuleError
 from .gen import enumerate_closed
 from .props import SUITES, run_suites
 from .reduction import (
@@ -54,10 +54,14 @@ def _load(arg: str) -> str:
 
 
 def _default_fuel() -> int:
+    text = os.environ.get("IKC_FUEL", "10000")
     try:
-        return int(os.environ.get("IKC_FUEL", "10000"))
+        fuel = int(text)
     except ValueError:
-        return 10000
+        fuel = -1
+    if fuel < 0:
+        raise InputSyntaxError(f"IKC_FUEL must be a natural number, got {text!r}")
+    return fuel
 
 
 # ---------------------------------------------------------------- verbs
@@ -68,7 +72,7 @@ def _cmd_check_term(ns) -> int:
 
     try:
         m = parse_term(_load(ns.term))
-    except InputSyntaxError:
+    except InputSyntaxError:  # unreadable text is an input error, not an answer
         raise
     except KernelError as e:
         print(f"ill-formed\t{e}")
@@ -137,44 +141,47 @@ def _cmd_subtype(ns) -> int:
 
 
 def _cmd_check_deriv(ns) -> int:
-    d = parse_derivation(_load(ns.deriv))
     try:
-        j = check_derivation(d)
-    except KernelError as e:
+        d = parse_derivation(_load(ns.deriv))
+    except RuleError as e:
         print(f"invalid\t{e}")
         return 1
-    print(print_judgment(j))
+    print(print_judgment(d.judgment))
     return 0
 
 
 def _cmd_sr(ns) -> int:
-    d = parse_derivation(_load(ns.deriv))
+    try:
+        d = parse_derivation(_load(ns.deriv))
+    except RuleError as e:
+        print(f"failed\t{e}")
+        return 1
     n = parse_term(_load(ns.term))
     try:
         d2 = subject_reduce(d, n, Relation.of(ns.rel), ns.fuel)
     except KernelError as e:
         print(f"failed\t{e}")
         return 1
-    print(print_judgment(check_derivation(d2)))
+    print(print_judgment(d2.judgment))
     if ns.out:
-        from .derivations import print_derivation
-
         Path(ns.out).write_text(print_derivation(d2) + "\n")
     return 0
 
 
 def _cmd_expand(ns) -> int:
-    d = parse_derivation(_load(ns.deriv))
+    try:
+        d = parse_derivation(_load(ns.deriv))
+    except RuleError as e:
+        print(f"failed\t{e}")
+        return 1
     m = parse_term(_load(ns.term))
     try:
         d2 = subject_expand_beta(d, m, ns.fuel)
     except KernelError as e:
         print(f"failed\t{e}")
         return 1
-    print(print_judgment(check_derivation(d2)))
+    print(print_judgment(d2.judgment))
     if ns.out:
-        from .derivations import print_derivation
-
         Path(ns.out).write_text(print_derivation(d2) + "\n")
     return 0
 
@@ -186,10 +193,8 @@ def _cmd_typecheck(ns) -> int:
     out = bounded_typecheck(m, g, u, ns.fuel)
     match out:
         case Found(d):
-            print(print_judgment(check_derivation(d)))
+            print(print_judgment(d.judgment))
             if ns.out:
-                from .derivations import print_derivation
-
                 Path(ns.out).write_text(print_derivation(d) + "\n")
             return 0
         case Refuted(reason):
@@ -385,13 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
-    except InputSyntaxError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except (KernelError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 r"""Typing derivations: node grammar, checker, macro elaboration, inversion.
 
-A derivation file carries only rule tags and the annotations the rules need;
-every conclusion is recomputed by check_derivation, never trusted.  The rules
-(ASCII, environments on the left of |-):
+A derivation file carries only rule tags and the annotations the rules need.
+Constructing a rule node checks that rule against its premises' judgments and
+stores the conclusion in the node's judgment field, so every derivation that
+exists is valid and check_derivation only reads the stored judgment.  Parsing
+builds the tree node by node through the same constructors, so untrusted text
+is checked as it is read.  The rules (ASCII, environments on the left of |-):
 
     (ax)      x^[] : <x:[]:T |- T>
     (w)       M : <omega-env(M) |- w^d(M)>
@@ -27,7 +30,7 @@ through (ax)/(exp)/(w) and an interI' fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Union
 
@@ -54,6 +57,7 @@ from .types import (
     expand_type,
     inter,
     omega,
+    print_comp,
     print_type,
     singleton,
     subtype,
@@ -79,18 +83,28 @@ from . import types as _types
 
 
 @dataclass(frozen=True, slots=True)
-class Ax:
+class _Rule:
+    """A rule node: constructing it checks its rule and stores the conclusion."""
+
+    judgment: Judgment = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "judgment", _conclude(self))
+
+
+@dataclass(frozen=True, slots=True)
+class Ax(_Rule):
     name: str
     comp: CanonT
 
 
 @dataclass(frozen=True, slots=True)
-class OmegaRule:
+class OmegaRule(_Rule):
     subject: Term
 
 
 @dataclass(frozen=True, slots=True)
-class ArrI:
+class ArrI(_Rule):
     var: str
     idx: Index
     ann: CanonType
@@ -98,45 +112,45 @@ class ArrI:
 
 
 @dataclass(frozen=True, slots=True)
-class ArrIW:
+class ArrIW(_Rule):
     var: str
     idx: Index
     premise: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class ArrE:
+class ArrE(_Rule):
     fun: "Derivation"
     arg: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class InterI:
+class InterI(_Rule):
     left: "Derivation"
     right: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class ExpRule:
+class ExpRule(_Rule):
     head: int
     premise: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class SubRule:
+class SubRule(_Rule):
     premise: "Derivation"
     env: Env
     typ: CanonType
 
 
 @dataclass(frozen=True, slots=True)
-class MacroInterI:
+class MacroInterI(_Rule):
     left: "Derivation"
     right: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class MacroAx:
+class MacroAx(_Rule):
     name: str
     typ: CanonType
 
@@ -150,6 +164,12 @@ Derivation = Union[
 
 
 def check_derivation(d: Derivation) -> Judgment:
+    """The judgment d derives; its rules were checked when it was built."""
+    return d.judgment
+
+
+def _conclude(d: Derivation) -> Judgment:
+    """Check the rule at the root of d against its premises' judgments."""
     match d:
         case Ax(name, comp):
             u = CT((), (comp,))
@@ -160,7 +180,7 @@ def check_derivation(d: Derivation) -> Judgment:
             return Judgment(subject, env_omega(subject), omega(subject.degree))
 
         case ArrI(var, idx, ann, premise):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             key = VarKey(var, idx)
             bound = jp.env.get(key)
             if bound is None:
@@ -179,7 +199,7 @@ def check_derivation(d: Derivation) -> Judgment:
             )
 
         case ArrIW(var, idx, premise):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             key = VarKey(var, idx)
             if key in jp.env:
                 raise RuleError("arrIW", f"{var}{index_str(idx)} occurs in the premise environment")
@@ -191,8 +211,8 @@ def check_derivation(d: Derivation) -> Judgment:
             )
 
         case ArrE(fun, arg):
-            jf = check_derivation(fun)
-            ja = check_derivation(arg)
+            jf = fun.judgment
+            ja = arg.judgment
             tf = _single(jf.typ, "arrE")
             if not isinstance(tf, CArrow):
                 raise RuleError("arrE", f"left type {print_type(jf.typ)} is not an arrow")
@@ -211,8 +231,8 @@ def check_derivation(d: Derivation) -> Judgment:
             )
 
         case InterI(left, right):
-            jl = check_derivation(left)
-            jr = check_derivation(right)
+            jl = left.judgment
+            jr = right.judgment
             if jl.subject != jr.subject:
                 raise RuleError("interI", "premises type different subjects")
             if jl.env != jr.env:
@@ -223,7 +243,7 @@ def check_derivation(d: Derivation) -> Judgment:
             return Judgment(jl.subject, jl.env, inter(jl.typ, jr.typ))
 
         case ExpRule(head, premise):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             return Judgment(
                 lift(jp.subject, head),
                 env_expand(head, jp.env),
@@ -231,14 +251,14 @@ def check_derivation(d: Derivation) -> Judgment:
             )
 
         case SubRule(premise, env, typ):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             target = Judgment(jp.subject, env, typ)
             if not typing_sub(jp, target):
                 raise RuleError("sub", _sub_diagnosis(jp, target))
             return target
 
         case MacroInterI() | MacroAx():
-            return check_derivation(elaborate(d))
+            return elaborate(d).judgment
 
     raise AssertionError(d)
 
@@ -262,7 +282,7 @@ def _sub_diagnosis(jp: Judgment, target: Judgment) -> str:
 
 def sub_to(d: Derivation, env: Env, typ: CanonType) -> Derivation:
     """SubRule unless the derivation already concludes at the target."""
-    j = check_derivation(d)
+    j = d.judgment
     if j.env == env and j.typ == typ:
         return d
     return SubRule(d, env, typ)
@@ -270,7 +290,7 @@ def sub_to(d: Derivation, env: Env, typ: CanonType) -> Derivation:
 
 def meet(d1: Derivation, d2: Derivation) -> Derivation:
     """interI' elaborated: meet two premises over differing environments."""
-    j1, j2 = check_derivation(d1), check_derivation(d2)
+    j1, j2 = d1.judgment, d2.judgment
     if j1.subject != j2.subject:
         raise RuleError("interI'", "premises type different subjects")
     ge = env_inter(j1.env, j2.env)
@@ -292,27 +312,18 @@ def var_intro(name: str, typ: CanonType) -> Derivation:
 
 
 def elaborate(d: Derivation) -> Derivation:
-    """Expand macro nodes into the primitive rules, recursively."""
+    """Expand macro nodes into the primitive rules; macro-free subtrees are
+    returned as they are."""
     match d:
         case MacroAx(name, typ):
             return var_intro(name, typ)
         case MacroInterI(left, right):
             return meet(elaborate(left), elaborate(right))
-        case Ax() | OmegaRule():
-            return d
-        case ArrI(var, idx, ann, premise):
-            return ArrI(var, idx, ann, elaborate(premise))
-        case ArrIW(var, idx, premise):
-            return ArrIW(var, idx, elaborate(premise))
-        case ArrE(fun, arg):
-            return ArrE(elaborate(fun), elaborate(arg))
-        case InterI(left, right):
-            return InterI(elaborate(left), elaborate(right))
-        case ExpRule(head, premise):
-            return ExpRule(head, elaborate(premise))
-        case SubRule(premise, env, typ):
-            return SubRule(elaborate(premise), env, typ)
-    raise AssertionError(d)
+    parts = [getattr(d, f) for f in d.__match_args__]
+    new = [elaborate(p) if isinstance(p, _Rule) else p for p in parts]
+    if all(p is q for p, q in zip(parts, new)):
+        return d
+    return type(d)(*new)
 
 
 # ---------------------------------------------------------------- inversion
@@ -359,7 +370,7 @@ def invert_abs(j: Judgment) -> OmegaShape | AbsComponents | ShapeRefutation:
     for comp in j.typ.comps:
         if not isinstance(comp, CArrow):
             return ShapeRefutation(
-                f"component {print_comp_str(comp)} of an abstraction type is not an arrow"
+                f"component {print_comp(comp)} of an abstraction type is not an arrow"
             )
         if comp.arg.degree != residual:
             return ShapeRefutation(
@@ -373,12 +384,6 @@ def invert_abs(j: Judgment) -> OmegaShape | AbsComponents | ShapeRefutation:
             premise = Judgment(m.body, j.env, res_t)
         entries.append((comp.arg, comp.res, binds, premise))
     return AbsComponents(k, entries)
-
-
-def print_comp_str(t: CanonT) -> str:
-    from .types import print_comp
-
-    return print_comp(t)
 
 
 # ---------------------------------------------------------------- parsing
@@ -438,13 +443,15 @@ def _ctype(node) -> CanonType:
 
 
 def parse_derivation(text: str) -> Derivation:
+    """Read a certificate, checking each rule as its node is built: a tree
+    that breaks a rule raises RuleError."""
     return _deriv_of(sexpr.read_one(text))
 
 
 def print_derivation(d: Derivation) -> str:
     match d:
         case Ax(name, comp):
-            return f"(ax {name} {print_comp_str(comp)})"
+            return f"(ax {name} {print_comp(comp)})"
         case MacroAx(name, typ):
             return f"(ax' {name} {print_type(typ)})"
         case OmegaRule(subject):

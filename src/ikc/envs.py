@@ -8,7 +8,7 @@ OK-ness to the rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegreeError, DomainError, InputSyntaxError
 from .syntax import Index, Term, VarKey, free_vars, index_str, prefix_leq
@@ -19,20 +19,19 @@ from . import types as _types
 
 @dataclass(frozen=True, slots=True)
 class Env:
-    items: tuple[tuple[VarKey, CanonType], ...]
-    _map: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.items))
+    items: tuple[tuple[VarKey, CanonType], ...]  # sorted by key, keys distinct
 
     def get(self, key: VarKey) -> CanonType | None:
-        return self._map.get(key)
+        for k, u in self.items:
+            if k == key:
+                return u
+        return None
 
     def domain(self) -> frozenset[VarKey]:
-        return frozenset(self._map)
+        return frozenset(k for k, _ in self.items)
 
     def __contains__(self, key: VarKey) -> bool:
-        return key in self._map
+        return self.get(key) is not None
 
     def __iter__(self):
         return iter(self.items)
@@ -96,11 +95,6 @@ def env_lower(g: Env, k: Index) -> Env:
     return mk_env(
         (VarKey(key.name, key.idx[len(k):]), lower_type(u, k)) for key, u in g
     )
-
-
-def env_degree_geq(g: Env, l: Index) -> bool:
-    """d(g) extends l: every binding index has l as a prefix."""
-    return all(prefix_leq(l, key.idx) for key, _ in g)
 
 
 def env_sub(g1: Env, g2: Env) -> bool:

@@ -131,15 +131,3 @@ def _one_rule(
             if cu.arg in sup.get(cv.arg, ()) and r2 in sup.get(r1, ()):
                 return True
     return False
-
-
-def oracle_subtype(
-    pairs_wanted: list[tuple[CanonType, CanonType]], max_depth: int = 4
-) -> dict[tuple[CanonType, CanonType], bool]:
-    """Decide each wanted pair by bounded rule-derivation search."""
-    types = sorted(
-        {u for u, _ in pairs_wanted} | {v for _, v in pairs_wanted},
-        key=type_key,
-    )
-    facts = derivable_pairs(types, max_depth)
-    return {(u, v): (u, v) in facts for u, v in pairs_wanted}

@@ -3,7 +3,7 @@
 bounded_typecheck answers "is there a derivation of m : <g |- u>?" with one
 of three outcomes:
 
-  Found(d)        a derivation that check_derivation validates at the goal
+  Found(d)        a derivation whose judgment is the goal
   Refuted(why)    no derivation exists; the refutation is forced by the
                   generation analysis of the subject (or by the judgment
                   metadata invariants), not by search exhaustion
@@ -63,7 +63,6 @@ from .derivations import (
     OmegaRule,
     OmegaShape,
     ShapeRefutation,
-    check_derivation,
     invert_abs,
     sub_to,
     var_intro,
@@ -108,7 +107,7 @@ def bounded_typecheck(
     searcher = _Searcher(fuel)
     out = searcher.goal(m, g, u)
     if isinstance(out, Found):
-        j = check_derivation(out.derivation)
+        j = out.derivation.judgment
         assert j == Judgment(m, g, u), j
     return out
 
@@ -180,7 +179,7 @@ class _Searcher:
             dp_low = lower_derivation(dp, k)
             target = CT((), (res,))
             if binds:
-                body = sub_to(dp_low, check_derivation(dp_low).env, target)
+                body = sub_to(dp_low, dp_low.judgment.env, target)
                 pieces.append(ArrI(m.var, residual, arg, body))
             else:
                 body = sub_to(dp_low, g_low, target)

@@ -173,9 +173,7 @@ def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
 
 def soundness_check(d, tag: str, fuel: int = 2000) -> bool:
     """A closed derivation at an example type must have a member subject."""
-    from .derivations import check_derivation
-
-    j = check_derivation(d)
+    j = d.judgment
     if len(j.env):
         raise ValueError("soundness check needs an empty environment")
     if j.typ != EXAMPLE_TYPES[tag]:

@@ -17,9 +17,9 @@ layer, so constructors check them eagerly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .errors import DegreeError, InputSyntaxError, JoinabilityError, PreconditionError
+from .errors import DegreeError, InputSyntaxError, JoinabilityError
 from . import sexpr
 
 Index = tuple[int, ...]
@@ -48,11 +48,9 @@ class Var:
     name: str
     idx: Index
     _fv: dict = field(init=False, repr=False, compare=False)
-    _names: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_fv", {self.name: self.idx})
-        object.__setattr__(self, "_names", frozenset((self.name,)))
 
     @property
     def degree(self) -> Index:
@@ -65,7 +63,6 @@ class Abs:
     idx: Index
     body: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
-    _names: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not prefix_leq(self.body.degree, self.idx):
@@ -77,7 +74,6 @@ class Abs:
         if fv.get(self.var) == self.idx:
             del fv[self.var]
         object.__setattr__(self, "_fv", fv)
-        object.__setattr__(self, "_names", self.body._names | {self.var})
 
     @property
     def degree(self) -> Index:
@@ -89,7 +85,6 @@ class App:
     fun: "Term"
     arg: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
-    _names: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not prefix_leq(self.fun.degree, self.arg.degree):
@@ -104,7 +99,6 @@ class App:
                     f"{name} free at {index_str(fv[name])} and {index_str(idx)}"
                 )
         object.__setattr__(self, "_fv", fv)
-        object.__setattr__(self, "_names", self.fun._names | self.arg._names)
 
     @property
     def degree(self) -> Index:
@@ -124,7 +118,20 @@ def free_map(m: Term) -> dict[str, Index]:
 
 
 def all_names(m: Term) -> frozenset[str]:
-    return m._names
+    """Every variable name in m, free or bound."""
+    names = set()
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        match t:
+            case Var(name, _):
+                names.add(name)
+            case Abs(var, _, body):
+                names.add(var)
+                stack.append(body)
+            case App(fun, arg):
+                stack += (fun, arg)
+    return frozenset(names)
 
 
 def is_closed(m: Term) -> bool:
@@ -147,24 +154,7 @@ def term_size(m: Term) -> int:
     raise AssertionError(m)
 
 
-def subterms(m: Term) -> Iterator[Term]:
-    yield m
-    match m:
-        case Abs(_, _, body):
-            yield from subterms(body)
-        case App(fun, arg):
-            yield from subterms(fun)
-            yield from subterms(arg)
-
-
 # ---------------------------------------------------------------- parsing
-
-
-def parse_index(text: str) -> Index:
-    node = sexpr.read_one(text)
-    if not sexpr.is_index(node):
-        raise InputSyntaxError(f"expected an index, got {text!r}")
-    return tuple(node[1])
 
 
 def _term_at(nodes: list, i: int) -> tuple[Term, int]:
@@ -233,27 +223,6 @@ def fresh_name(avoid: frozenset[str] | set[str]) -> str:
     return f"_r{i}"
 
 
-def rename_var(m: Term, old: VarKey, new: str) -> Term:
-    """Rename free occurrences of old to new.  new must not occur in m."""
-    if new in m._names:
-        raise PreconditionError(f"{new!r} already occurs in the term")
-    return _rename(m, old, new)
-
-
-def _rename(m: Term, old: VarKey, new: str) -> Term:
-    if m._fv.get(old.name) != old.idx:
-        return m
-    match m:
-        case Var(name, idx):
-            return Var(new, idx) if (name, idx) == old else m
-        case Abs(var, idx, body):
-            # old is free in m, so this binder cannot shadow it
-            return Abs(var, idx, _rename(body, old, new))
-        case App(fun, arg):
-            return App(_rename(fun, old, new), _rename(arg, old, new))
-    raise AssertionError(m)
-
-
 # ---------------------------------------------------------------- substitution
 
 
@@ -283,9 +252,9 @@ def substitute(m: Term, binds: dict[VarKey, Term]) -> Term:
                 raise JoinabilityError(
                     f"{name} free at {index_str(merged[name])} and {index_str(idx)}"
                 )
-    avoid = set(m._names)
+    avoid = set(all_names(m))
     for n in binds.values():
-        avoid |= n._names
+        avoid |= all_names(n)
     return _subst(m, binds, avoid)
 
 

@@ -1,7 +1,9 @@
 """Constructive transformations of checked derivations.
 
 Everything here consumes derivations whose macros are already elaborated (the
-public entry points elaborate first) and produces derivations that re-check.
+public entry points elaborate first) and builds its output through the rule
+constructors, so each new node is checked once, when it is made, and every
+intermediate judgment is read from the node that carries it.
 The exact-subject discipline matters throughout: these builders thread the
 same name-only freshness choices as term substitution, so the subjects they
 construct are equal to the reduction engine's output, not merely
@@ -47,7 +49,6 @@ from .types import (
 )
 from .envs import (
     Env,
-    Judgment,
     env_bind,
     env_enlarge,
     env_inter,
@@ -68,7 +69,6 @@ from .derivations import (
     MacroAx,
     OmegaRule,
     SubRule,
-    check_derivation,
     elaborate,
     sub_to,
     var_intro,
@@ -133,7 +133,9 @@ def rename_free_in_deriv(d: Derivation, old: VarKey, new: str) -> Derivation:
 
 
 def _rename_term(m: Term, old: VarKey, new: str) -> Term:
-    """rename_var without the global freshness guard (exact-key safe)."""
+    """Rename the free occurrences of old to new (exact-key safe).
+
+    The caller guarantees new is not captured by a binder at old's index."""
     if m._fv.get(old.name) != old.idx:
         return m
     match m:
@@ -194,8 +196,8 @@ def subst_derivation(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
     """
     dm = elaborate(dm)
     dn = elaborate(dn)
-    jm = check_derivation(dm)
-    jn = check_derivation(dn)
+    jm = dm.judgment
+    jn = dn.judgment
     v = jm.env.get(x)
     if v is None:
         raise PreconditionError(
@@ -206,15 +208,14 @@ def subst_derivation(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
             "replacement derivation concludes at a different type than the binding"
         )
     avoid = set(all_names(jm.subject)) | set(all_names(jn.subject))
-    return _subst_d(dm, x, dn, jn, avoid)
+    return _subst_d(dm, x, dn, avoid)
 
 
-def _subst_d(
-    dm: Derivation, x: VarKey, dn: Derivation, jn: Judgment, avoid: set[str]
-) -> Derivation:
-    """Core recursion; x is in dm's environment, jn = check(dn), jn.typ is
-    exactly the binding of x.  Mirrors the term-level substitution's
-    renaming choices via the threaded avoid set."""
+def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: set[str]) -> Derivation:
+    """Core recursion; x is in dm's environment and dn concludes at exactly
+    the binding of x.  Mirrors the term-level substitution's renaming choices
+    via the threaded avoid set."""
+    jn = dn.judgment
     match dm:
         case Ax():
             return dn
@@ -233,18 +234,18 @@ def _subst_d(
                 avoid = avoid | {f}
                 premise = rename_free_in_deriv(premise, key, f)
                 var = f
-            return ArrI(var, idx, ann, _subst_d(premise, x, dn, jn, avoid))
+            return ArrI(var, idx, ann, _subst_d(premise, x, dn, avoid))
 
         case ArrIW(var, idx, premise):
             if var in jn.subject._fv:
                 f = fresh_name(avoid)
                 avoid = avoid | {f}
                 var = f  # binder is not free below; the premise is untouched
-            return ArrIW(var, idx, _subst_d(premise, x, dn, jn, avoid))
+            return ArrIW(var, idx, _subst_d(premise, x, dn, avoid))
 
         case ArrE(fun, arg):
-            jf = check_derivation(fun)
-            ja = check_derivation(arg)
+            jf = fun.judgment
+            ja = arg.judgment
             in_f = x in jf.env
             in_a = x in ja.env
             assert in_f or in_a
@@ -252,30 +253,24 @@ def _subst_d(
                 dn_f = sub_to(dn, jn.env, jf.env.get(x))
                 dn_a = sub_to(dn, jn.env, ja.env.get(x))
                 return ArrE(
-                    _subst_d(fun, x, dn_f, check_derivation(dn_f), avoid),
-                    _subst_d(arg, x, dn_a, check_derivation(dn_a), avoid),
+                    _subst_d(fun, x, dn_f, avoid), _subst_d(arg, x, dn_a, avoid)
                 )
             if in_f:
-                return ArrE(_subst_d(fun, x, dn, jn, avoid), arg)
-            return ArrE(fun, _subst_d(arg, x, dn, jn, avoid))
+                return ArrE(_subst_d(fun, x, dn, avoid), arg)
+            return ArrE(fun, _subst_d(arg, x, dn, avoid))
 
         case InterI(left, right):
-            return InterI(
-                _subst_d(left, x, dn, jn, avoid), _subst_d(right, x, dn, jn, avoid)
-            )
+            return InterI(_subst_d(left, x, dn, avoid), _subst_d(right, x, dn, avoid))
 
         case ExpRule(head, premise):
             assert x.idx and x.idx[0] == head, (x, head)
             dn2 = lower_derivation(dn, (head,))
-            return ExpRule(
-                head, _subst_d(premise, VarKey(x.name, x.idx[1:]), dn2,
-                               check_derivation(dn2), avoid)
-            )
+            return ExpRule(head, _subst_d(premise, VarKey(x.name, x.idx[1:]), dn2, avoid))
 
         case SubRule(premise, env, typ):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             dn0 = sub_to(dn, jn.env, jp.env.get(x))
-            inner = _subst_d(premise, x, dn0, check_derivation(dn0), avoid)
+            inner = _subst_d(premise, x, dn0, avoid)
             target = env_inter(env_without(env, x), jn.env)
             return sub_to(inner, target, typ)
 
@@ -297,11 +292,11 @@ def generation_abs(d: Derivation) -> tuple[Index, dict]:
     """
     match d:
         case ArrI(var, idx, ann, premise):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             t = jp.typ.comps[0]
             return (), {CArrow(ann, t): (ann, t, True, premise)}
         case ArrIW(var, idx, premise):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             t = jp.typ.comps[0]
             w = omega(idx)
             return (), {CArrow(w, t): (w, t, False, premise)}
@@ -320,7 +315,7 @@ def generation_abs(d: Derivation) -> tuple[Index, dict]:
                 for comp, (v, t, binds, p) in entries.items()
             }
         case SubRule(premise, env, typ):
-            jp = check_derivation(premise)
+            jp = premise.judgment
             k = typ.prefix
             k0, entries = generation_abs(premise)
             assert k0 == k
@@ -340,14 +335,14 @@ def generation_abs(d: Derivation) -> tuple[Index, dict]:
                 out[comp] = (v, t, binds, p)
             return k, out
         case OmegaRule():
-            j = check_derivation(d)
+            j = d.judgment
             return j.typ.prefix, {}
     raise AssertionError(f"not an abstraction derivation root: {type(d).__name__}")
 
 
 def _binder_key(d: Derivation) -> VarKey:
     """The binder VarKey of the abstraction subject of d."""
-    m = check_derivation(d).subject
+    m = d.judgment.subject
     assert isinstance(m, Abs), m
     return VarKey(m.var, m.idx)
 
@@ -357,8 +352,8 @@ def generation_app_var(d: Derivation, x: VarKey, t_target) -> Derivation:
     free in P), build P : <G |- {Vx -> t_target}> where Vx is d's binding."""
     match d:
         case ArrE(fun, arg):
-            jf = check_derivation(fun)
-            ja = check_derivation(arg)
+            jf = fun.judgment
+            ja = arg.judgment
             arrow_comp = jf.typ.comps[0]
             assert comp_leq(arrow_comp.res, t_target)
             vx = ja.env.get(x)
@@ -366,7 +361,7 @@ def generation_app_var(d: Derivation, x: VarKey, t_target) -> Derivation:
             return sub_to(fun, jf.env, CT((), (CArrow(vx, t_target),)))
         case InterI(left, right):
             for side in (left, right):
-                js = check_derivation(side)
+                js = side.judgment
                 if any(comp_leq(c, t_target) for c in js.typ.comps):
                     return generation_app_var(side, x, t_target)
             raise AssertionError("no intersection side dominates the target")
@@ -391,7 +386,7 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
     reachable within fuel steps.
     """
     d = elaborate(d)
-    j = check_derivation(d)
+    j = d.judgment
     trail = _find_reduction(j.subject, n, r, fuel)
     if trail is None:
         raise NotAReductError(
@@ -438,8 +433,7 @@ def _find_reduction(
 
 def _transport(d: Derivation, kind: str, path: Path, reduct: Term) -> Derivation:
     """One-step subject reduction at a known position."""
-    j = check_derivation(d)
-    target_env = env_restrict(j.env, free_vars(reduct))
+    target_env = env_restrict(d.judgment.env, free_vars(reduct))
 
     match d:
         case OmegaRule():
@@ -459,67 +453,68 @@ def _transport(d: Derivation, kind: str, path: Path, reduct: Term) -> Derivation
             pass
 
     if path:
-        return _transport_congruence(d, kind, path, reduct, target_env, j)
+        return _transport_congruence(d, kind, path, reduct, target_env)
     if kind == "beta":
         return _transport_beta(d, reduct, target_env)
-    return _transport_eta(d, j)
+    return _transport_eta(d)
 
 
 def _transport_congruence(
-    d: Derivation, kind: str, path: Path, reduct: Term, target_env: Env, j: Judgment
+    d: Derivation, kind: str, path: Path, reduct: Term, target_env: Env
 ) -> Derivation:
+    typ = d.judgment.typ
     match d, path[0]:
         case (ArrI(var, idx, ann, premise), "body"):
             assert isinstance(reduct, Abs)
             inner = _transport(premise, kind, path[1:], reduct.body)
-            ji = check_derivation(inner)
+            ji = inner.judgment
             key = VarKey(var, idx)
             if key in ji.env:
                 return ArrI(var, idx, ann, inner)
             # the step erased the binder from the body: reweaken
             rebuilt = ArrIW(var, idx, inner)
-            return sub_to(rebuilt, target_env, j.typ)
+            return sub_to(rebuilt, target_env, typ)
         case (ArrIW(var, idx, premise), "body"):
             assert isinstance(reduct, Abs)
             inner = _transport(premise, kind, path[1:], reduct.body)
             rebuilt = ArrIW(var, idx, inner)
-            return sub_to(rebuilt, target_env, j.typ)
+            return sub_to(rebuilt, target_env, typ)
         case (ArrE(fun, arg), "fun"):
             assert isinstance(reduct, App)
             inner = _transport(fun, kind, path[1:], reduct.fun)
-            return sub_to(ArrE(inner, arg), target_env, j.typ)
+            return sub_to(ArrE(inner, arg), target_env, typ)
         case (ArrE(fun, arg), "arg"):
             assert isinstance(reduct, App)
             inner = _transport(arg, kind, path[1:], reduct.arg)
-            return sub_to(ArrE(fun, inner), target_env, j.typ)
+            return sub_to(ArrE(fun, inner), target_env, typ)
     raise AssertionError((d, path))
 
 
 def _transport_beta(d: Derivation, reduct: Term, target_env: Env) -> Derivation:
     assert isinstance(d, ArrE)
-    j = check_derivation(d)
+    j = d.judgment
     redex = j.subject
     assert isinstance(redex, App) and isinstance(redex.fun, Abs)
     x = VarKey(redex.fun.var, redex.fun.idx)
     k, entries = generation_abs(d.fun)
     assert k == ()
-    jf = check_derivation(d.fun)
+    jf = d.fun.judgment
     (v, t, binds, prem) = entries[jf.typ.comps[0]]
     if binds:
         out = subst_derivation(prem, x, d.arg)
     else:
         out = sub_to(prem, target_env, CT((), (t,)))
-    jo = check_derivation(out)
+    jo = out.judgment
     assert jo.subject == reduct, (print_term(jo.subject), print_term(reduct))
     return sub_to(out, target_env, jo.typ)
 
 
-def _transport_eta(d: Derivation, j: Judgment) -> Derivation:
+def _transport_eta(d: Derivation) -> Derivation:
     assert isinstance(d, ArrI), f"eta redex under rule {type(d).__name__}"
-    body = j.subject.body
+    body = d.judgment.subject.body
     assert isinstance(body, App) and isinstance(body.arg, Var)
     x = VarKey(body.arg.name, body.arg.idx)
-    t = check_derivation(d.premise).typ.comps[0]
+    t = d.premise.judgment.typ.comps[0]
     return generation_app_var(d.premise, x, t)
 
 
@@ -535,7 +530,7 @@ def subject_expand_beta(d: Derivation, m: Term, fuel: int = 10000) -> Derivation
     subject within fuel steps.
     """
     d = elaborate(d)
-    j = check_derivation(d)
+    j = d.judgment
     trail = _find_reduction(m, j.subject, Relation.BETA, fuel)
     if trail is None:
         raise NotAnExpansionError(
@@ -574,7 +569,7 @@ def _expand1(d: Derivation, src: Term, path: Path) -> Derivation:
         case (ArrIW(var, idx, premise), "body"):
             assert isinstance(src, Abs) and src.var == var and src.idx == idx
             inner = _expand1(premise, src.body, path[1:])
-            ji = check_derivation(inner)
+            ji = inner.judgment
             key = VarKey(var, idx)
             if key in ji.env:
                 # the expansion reintroduced the binder, at omega
@@ -591,7 +586,7 @@ def _expand1(d: Derivation, src: Term, path: Path) -> Derivation:
 
 def _expand_redex(d: Derivation, src: Term) -> Derivation:
     """Rebuild a derivation of the redex src from one of its contractum."""
-    j = check_derivation(d)
+    j = d.judgment
     assert isinstance(src, App) and isinstance(src.fun, Abs)
     fun = src.fun
     x = VarKey(fun.var, fun.idx)
@@ -608,7 +603,7 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
         v, dp, dq = _split(d, x, p, q)
         dp_low = lower_derivation(dp, k)
         dq_low = lower_derivation(dq, k)
-        jp_low = check_derivation(dp_low)
+        jp_low = dp_low.judgment
         v_low = lower_type(v, k)
         pieces = []
         for t in u.comps:
@@ -617,7 +612,7 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
             pieces.append(ArrE(d_abs, dq_low))
     else:
         dp_low = lower_derivation(d, k)
-        jp_low = check_derivation(dp_low)
+        jp_low = dp_low.judgment
         dq_low = OmegaRule(lower_seq(q, k))
         pieces = []
         for t in u.comps:
@@ -637,7 +632,7 @@ def _split(
     """Un-substitute: from d :: P[x:=Q] : <G |- U> with x free in P, produce
     (V, dP :: P : <G1, x:V |- U>, dQ :: Q : <G2 |- V>) with G1 /\\ G2 = G."""
     if p == Var(x.name, x.idx):
-        j = check_derivation(d)
+        j = d.judgment
         return j.typ, var_intro(x.name, j.typ), d
 
     match d:
@@ -648,12 +643,12 @@ def _split(
             v1, dp1, dq1 = _split(left, x, p, q)
             v2, dp2, dq2 = _split(right, x, p, q)
             v = inter(v1, v2)
-            jp1, jp2 = check_derivation(dp1), check_derivation(dp2)
+            jp1, jp2 = dp1.judgment, dp2.judgment
             ep = env_bind(
                 env_inter(env_without(jp1.env, x), env_without(jp2.env, x)), x, v
             )
             dp = InterI(sub_to(dp1, ep, jp1.typ), sub_to(dp2, ep, jp2.typ))
-            jq1, jq2 = check_derivation(dq1), check_derivation(dq2)
+            jq1, jq2 = dq1.judgment, dq2.judgment
             eq = env_inter(jq1.env, jq2.env)
             dq = InterI(sub_to(dq1, eq, v1), sub_to(dq2, eq, v2))
             return v, dp, dq
@@ -682,11 +677,11 @@ def _split(
                 v1, dpa, dqa = _split(fun, x, p1, q)
                 v2, dpb, dqb = _split(arg, x, p2, q)
                 v = inter(v1, v2)
-                ja1, ja2 = check_derivation(dpa), check_derivation(dpb)
+                ja1, ja2 = dpa.judgment, dpb.judgment
                 e1 = env_bind(env_without(ja1.env, x), x, v)
                 e2 = env_bind(env_without(ja2.env, x), x, v)
                 dp = ArrE(sub_to(dpa, e1, ja1.typ), sub_to(dpb, e2, ja2.typ))
-                jq1, jq2 = check_derivation(dqa), check_derivation(dqb)
+                jq1, jq2 = dqa.judgment, dqb.judgment
                 eq = env_inter(jq1.env, jq2.env)
                 dq = InterI(sub_to(dqa, eq, v1), sub_to(dqb, eq, v2))
                 return v, dp, dq

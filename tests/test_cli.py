@@ -168,6 +168,26 @@ def test_unknown_suite_exits_two(capsys):
     assert code == 2
 
 
+def test_check_deriv_rule_violation_is_invalid(capsys):
+    code, out, _ = run(capsys, "check-deriv", "(arrE (ax f a) (ax y a))")
+    assert code == 1
+    assert out == "invalid\tarrE: left type a is not an arrow\n"
+
+
+def test_check_deriv_syntax_error_exits_two(capsys):
+    code, out, err = run(capsys, "check-deriv", "(arrE (ax f a) (ax y a)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: unclosed '('")
+
+
+def test_check_deriv_ill_formed_subject_exits_two(capsys):
+    code, out, err = run(capsys, "check-deriv", "(arrE (ax f a) (w (app x[1] y[])))")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: application degree [1]")
+
+
 def test_ill_formed_term_is_a_negative_answer(capsys):
     # parses fine, fails the degree side condition: a no, not an error
     code, out, _ = run(capsys, "check-term", "(app x[1] y[])")
@@ -187,3 +207,12 @@ def test_fuel_env_override(capsys, monkeypatch):
     )
     assert code == 1
     assert "fuel" in out.lower() or "no normal form" in out.lower()
+
+
+@pytest.mark.parametrize("fuel", ["abc", "-1", ""])
+def test_bad_fuel_env_is_an_input_error(capsys, monkeypatch, fuel):
+    monkeypatch.setenv("IKC_FUEL", fuel)
+    code, out, err = run(capsys, "nf", "(app (lam x [] x[]) y[])")
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: IKC_FUEL must be a natural number, got {fuel!r}\n"

@@ -113,6 +113,13 @@ def test_sub_rule_cannot_weaken_env():
         )
 
 
+def test_parsing_checks_each_rule_as_it_builds():
+    d = parse_derivation("(arrE (ax' f (-> a b)) (ax y a))")
+    assert print_judgment(d.judgment) == "(judg (app f[] y[]) ((f [] (-> a b)) (y [] a)) b)"
+    with pytest.raises(RuleError, match="arrE: left type a is not an arrow"):
+        parse_derivation("(arrE (ax f a) (ax y a))")
+
+
 # ---------------------------------------------------------------- macros
 
 

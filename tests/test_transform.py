@@ -1,7 +1,9 @@
 import pytest
 
+from ikc import derivations
 from ikc.derivations import (
     ArrE,
+    ArrI,
     ArrIW,
     Ax,
     OmegaRule,
@@ -172,3 +174,36 @@ def test_subject_expand_lifted():
     src = parse_term("(app (lam x [1] x[1]) y[1])")
     out = subject_expand_beta(d, src)
     assert pj(out) == "(judg (app (lam x [1] x[1]) y[1]) ((y [1] (e 1 a))) (e 1 a))"
+
+
+# ---------------------------------------------------------------- cost
+
+
+def _conclusions_to_reduce_under(n, monkeypatch):
+    """Rule conclusions computed while contracting the redex
+    (app (lam x [] x[]) y[]) nested under n applications of f[]."""
+    a, aa = pt("a"), pt("(-> a a)")
+    d = ArrE(ArrI("x", (), a, var_intro("x", a)), var_intro("y", a))
+    reduct = "y[]"
+    for _ in range(n):
+        d = ArrE(var_intro("f", aa), d)
+        reduct = f"(app f[] {reduct})"
+    count = 0
+    conclude = derivations._conclude
+
+    def counting(d):
+        nonlocal count
+        count += 1
+        return conclude(d)
+
+    monkeypatch.setattr(derivations, "_conclude", counting)
+    out = subject_reduce(d, parse_term(reduct), Relation.BETA)
+    monkeypatch.undo()
+    assert check_derivation(out) == Judgment(parse_term(reduct), d.judgment.env, a)
+    return count
+
+
+def test_transport_checks_each_new_node_once(monkeypatch):
+    small = _conclusions_to_reduce_under(32, monkeypatch)
+    big = _conclusions_to_reduce_under(64, monkeypatch)
+    assert 0 < big <= 2.2 * small
