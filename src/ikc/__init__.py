@@ -25,6 +25,7 @@ from .reduction import (
     Verdict,
     check_local_confluence,
     equiv,
+    first_step,
     normalize,
     step_positions,
 )
@@ -46,6 +47,7 @@ from .syntax import (
     VarKey,
     alpha_canon,
     alpha_eq,
+    alpha_key,
     free_vars,
     lift,
     lower,
@@ -91,12 +93,14 @@ __all__ = [
     "Verdict",
     "alpha_canon",
     "alpha_eq",
+    "alpha_key",
     "bounded_typecheck",
     "check_derivation",
     "check_local_confluence",
     "completeness_sample",
     "env_empty",
     "equiv",
+    "first_step",
     "free_vars",
     "lift",
     "lift_correspondence",

@@ -25,8 +25,8 @@ from .reduction import (
     Verdict,
     check_local_confluence,
     equiv,
+    first_step,
     normalize,
-    step_positions,
 )
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .semantics import (
@@ -90,10 +90,10 @@ def _cmd_reduce(ns) -> int:
     r = Relation.of(ns.rel)
     print(print_term(m))
     for _ in range(ns.fuel):
-        nxt = step_positions(m, r)
-        if not nxt:
+        nxt = first_step(m, r)
+        if nxt is None:
             break
-        kind, path, m = nxt[0]
+        kind, path, m = nxt
         print(f"  -{kind}-> {print_term(m)}")
     return 0
 

@@ -144,13 +144,25 @@ class SubRule(_Rule):
 
 
 @dataclass(frozen=True, slots=True)
-class MacroInterI(_Rule):
+class _Macro(_Rule):
+    """A macro node: it stores its elaboration into the primitive rules, whose
+    constructors check it, and concludes what that elaboration concludes."""
+
+    elaborated: "Derivation" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "elaborated", _expand(self))
+        _Rule.__post_init__(self)
+
+
+@dataclass(frozen=True, slots=True)
+class MacroInterI(_Macro):
     left: "Derivation"
     right: "Derivation"
 
 
 @dataclass(frozen=True, slots=True)
-class MacroAx(_Rule):
+class MacroAx(_Macro):
     name: str
     typ: CanonType
 
@@ -257,8 +269,8 @@ def _conclude(d: Derivation) -> Judgment:
                 raise RuleError("sub", _sub_diagnosis(jp, target))
             return target
 
-        case MacroInterI() | MacroAx():
-            return elaborate(d).judgment
+        case _Macro():
+            return d.elaborated.judgment
 
     raise AssertionError(d)
 
@@ -311,14 +323,21 @@ def var_intro(name: str, typ: CanonType) -> Derivation:
     return reduce(meet, chains)
 
 
-def elaborate(d: Derivation) -> Derivation:
-    """Expand macro nodes into the primitive rules; macro-free subtrees are
-    returned as they are."""
+def _expand(d: _Macro) -> Derivation:
+    """One macro node in primitive rules; its premises are elaborated already."""
     match d:
         case MacroAx(name, typ):
             return var_intro(name, typ)
         case MacroInterI(left, right):
             return meet(elaborate(left), elaborate(right))
+    raise AssertionError(d)
+
+
+def elaborate(d: Derivation) -> Derivation:
+    """Expand macro nodes into the primitive rules; macro-free subtrees are
+    returned as they are, and a macro node gives its stored elaboration."""
+    if isinstance(d, _Macro):
+        return d.elaborated
     parts = [getattr(d, f) for f in d.__match_args__]
     new = [elaborate(p) if isinstance(p, _Rule) else p for p in parts]
     if all(p is q for p, q in zip(parts, new)):

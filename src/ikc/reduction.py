@@ -9,6 +9,11 @@ always contained in the beta step set.
 Reduction preserves the degree, never grows the free-variable set, and eta
 preserves it exactly; the constructors re-check all of that on every rebuilt
 term, so a violation would surface as a loud formation error.
+
+step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
+tuple; equiv and the confluence checker carry each term's key with it, so no
+term is keyed twice, and the confluence checker steps each term once per call.
+first_step takes the leftmost-outermost step without building the others.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .syntax import (
     Term,
     Var,
     VarKey,
-    alpha_canon,
     alpha_eq,
+    alpha_key,
     substitute,
 )
 
@@ -64,23 +69,35 @@ def is_eta_redex(m: Term) -> bool:
     )
 
 
-def _tagged(m: Term, path: Path) -> Iterator[tuple[str, Path, Term]]:
-    """All betaeta steps of m in leftmost-outermost order, with positions."""
+def _tagged(
+    m: Term, path: Path, kinds: tuple[str, ...]
+) -> Iterator[tuple[str, Path, Term]]:
+    """The steps of m of the given kinds, leftmost-outermost, with positions.
+
+    Lazy: a reduct is built only when its step is pulled.
+    """
     match m:
         case Var():
             return
         case Abs(var, idx, body):
-            if is_eta_redex(m):
+            if "eta" in kinds and is_eta_redex(m):
                 yield "eta", path, m.body.fun
-            for kind, p, r in _tagged(body, path + ("body",)):
+            for kind, p, r in _tagged(body, path + ("body",), kinds):
                 yield kind, p, Abs(var, idx, r)
         case App(fun, arg):
-            if is_beta_redex(m):
+            if "beta" in kinds and is_beta_redex(m):
                 yield "beta", path, beta_contract(m)
-            for kind, p, r in _tagged(fun, path + ("fun",)):
+            for kind, p, r in _tagged(fun, path + ("fun",), kinds):
                 yield kind, p, App(r, arg)
-            for kind, p, r in _tagged(arg, path + ("arg",)):
+            for kind, p, r in _tagged(arg, path + ("arg",), kinds):
                 yield kind, p, App(fun, r)
+
+
+_KINDS = {
+    Relation.BETA: ("beta",),
+    Relation.ETA: ("eta",),
+    Relation.BETAETA: ("beta", "eta"),
+}
 
 
 def _head_position(m: Term) -> tuple[Path, Term] | None:
@@ -103,29 +120,37 @@ def _head_position(m: Term) -> tuple[Path, Term] | None:
     return ("fun",) * spine, reduct
 
 
+def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
+    """The leftmost-outermost step of m, step_positions(m, r)[0], or None."""
+    if r is Relation.H:
+        hp = _head_position(m)
+        return ("beta", hp[0], hp[1]) if hp else None
+    return next(_tagged(m, (), _KINDS[r]), None)
+
+
 def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
     """(kind, path, reduct) triples in leftmost-outermost order, no dedup."""
     if r is Relation.H:
-        hp = _head_position(m)
-        return [("beta", hp[0], hp[1])] if hp else []
-    steps = list(_tagged(m, ()))
-    if r is Relation.BETA:
-        return [s for s in steps if s[0] == "beta"]
-    if r is Relation.ETA:
-        return [s for s in steps if s[0] == "eta"]
-    return steps
+        hit = first_step(m, r)
+        return [hit] if hit else []
+    return list(_tagged(m, (), _KINDS[r]))
+
+
+def _keyed_steps(m: Term, r: Relation) -> list[tuple[tuple, Term]]:
+    """step(m, r) with each reduct's alpha key: (key, reduct) pairs."""
+    out: list[tuple[tuple, Term]] = []
+    seen = set()
+    for _, _, reduct in step_positions(m, r):
+        key = alpha_key(reduct)
+        if key not in seen:
+            seen.add(key)
+            out.append((key, reduct))
+    return out
 
 
 def step(m: Term, r: Relation) -> list[Term]:
     """One-step reducts, deduplicated up to alpha, leftmost-outermost order."""
-    out: list[Term] = []
-    seen = set()
-    for _, _, reduct in step_positions(m, r):
-        key = alpha_canon(reduct)
-        if key not in seen:
-            seen.add(key)
-            out.append(reduct)
-    return out
+    return [reduct for _, reduct in _keyed_steps(m, r)]
 
 
 # ---------------------------------------------------------------- normalize
@@ -150,12 +175,12 @@ def normalize(m: Term, r: Relation, fuel: int) -> ReductionOutcome:
     """Deterministic leftmost-outermost normalisation; fuel counts steps."""
     steps = 0
     while steps < fuel:
-        nxt = step_positions(m, r)
-        if not nxt:
+        nxt = first_step(m, r)
+        if nxt is None:
             return NormalForm(m, steps)
-        m = nxt[0][2]
+        m = nxt[2]
         steps += 1
-    if not step_positions(m, r):
+    if first_step(m, r) is None:
         return NormalForm(m, steps)
     return FuelExhausted(m, steps)
 
@@ -176,7 +201,7 @@ def equiv(m: Term, n: Term, r: Relation, fuel: int) -> Verdict:
     exhausted without meeting, or both normalise to non-alpha-equal normal
     forms; Unknown when fuel ran out first.
     """
-    ka, kb = alpha_canon(m), alpha_canon(n)
+    ka, kb = alpha_key(m), alpha_key(n)
     if ka == kb:
         return Verdict.EQUIVALENT
     seen_a, seen_b = {ka}, {kb}
@@ -198,9 +223,8 @@ def equiv(m: Term, n: Term, r: Relation, fuel: int) -> Verdict:
             is_a = False
         new: list[Term] = []
         for t in front:
-            for reduct in step(t, r):
+            for key, reduct in _keyed_steps(t, r):
                 budget -= 1
-                key = alpha_canon(reduct)
                 if key in other:
                     return Verdict.EQUIVALENT
                 if key not in seen:
@@ -237,21 +261,21 @@ class ConfluenceReport:
         return not self.unjoined
 
 
-def _reachable(m: Term, r: Relation, depth: int, cache: dict) -> dict:
-    """Canonical-form keyed map of terms reachable within depth steps."""
-    seen = {alpha_canon(m): m}
-    front = [m]
+def _reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dict:
+    """The terms reachable from m within depth steps, by alpha key; key is
+    m's.  cache maps a key to its term's _keyed_steps, for one r only."""
+    seen = {key: m}
+    front = [(key, m)]
     for _ in range(depth):
         nxt = []
-        for t in front:
-            key = (alpha_canon(t), r)
-            if key not in cache:
-                cache[key] = step(t, r)
-            for reduct in cache[key]:
-                k = alpha_canon(reduct)
-                if k not in seen:
-                    seen[k] = reduct
-                    nxt.append(reduct)
+        for k, t in front:
+            steps = cache.get(k)
+            if steps is None:
+                steps = cache[k] = _keyed_steps(t, r)
+            for k2, reduct in steps:
+                if k2 not in seen:
+                    seen[k2] = reduct
+                    nxt.append((k2, reduct))
         if not nxt:
             break
         front = nxt
@@ -264,27 +288,36 @@ def check_local_confluence(
     """Check every peak among terms reachable from m within depth steps.
 
     A peak t1 <- t -> t2 counts as joined when the reducts of t1 and t2 share
-    a term within join_depth further steps (default depth + 2).
+    a term within join_depth further steps (default depth + 2).  Each term is
+    stepped once per call: the peaks and the join searches share one cache.
     """
     if join_depth is None:
         join_depth = depth + 2
     cache: dict = {}
-    space = _reachable(m, r, depth, cache)
+    space = _reachable(m, alpha_key(m), r, depth, cache)
+    # step the outermost terms before any join search can cache an
+    # alpha-variant of one of them, so each peak shows the term in space
+    for k, t in space.items():
+        if k not in cache:
+            cache[k] = _keyed_steps(t, r)
     peaks = 0
     unjoined: list[tuple[Term, Term, Term]] = []
-    for t in space.values():
-        reducts = step(t, r)
+    for k, t in space.items():
+        reducts = cache[k]
         if len(reducts) < 2:
             continue
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 peaks += 1
-                if not _joinable(reducts[i], reducts[j], r, join_depth, cache):
-                    unjoined.append((t, reducts[i], reducts[j]))
+                (k1, t1), (k2, t2) = reducts[i], reducts[j]
+                if not _joinable(t1, k1, t2, k2, r, join_depth, cache):
+                    unjoined.append((t, t1, t2))
     return ConfluenceReport(peaks, unjoined)
 
 
-def _joinable(t1: Term, t2: Term, r: Relation, depth: int, cache: dict) -> bool:
-    a = _reachable(t1, r, depth, cache)
-    b = _reachable(t2, r, depth, cache)
+def _joinable(
+    t1: Term, k1: tuple, t2: Term, k2: tuple, r: Relation, depth: int, cache: dict
+) -> bool:
+    a = _reachable(t1, k1, r, depth, cache)
+    b = _reachable(t2, k2, r, depth, cache)
     return not a.keys().isdisjoint(b.keys())

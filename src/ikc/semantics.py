@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envs import env_empty
-from .reduction import Relation, step_positions
+from .reduction import Relation, first_step, step_positions
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
     Abs,
@@ -32,6 +32,7 @@ from .syntax import (
     Term,
     Var,
     alpha_canon,
+    alpha_key,
     is_closed,
     lift,
     print_term,
@@ -66,13 +67,13 @@ def leftmost_beta_nf(m: Term, fuel: int) -> tuple[Term | None, bool]:
     revisits an alpha class (no normal form exists), and (None, False)
     when fuel runs out first.
     """
-    seen = {alpha_canon(m)}
+    seen = {alpha_key(m)}
     for _ in range(fuel):
-        hit = next(iter(step_positions(m, Relation.BETA)), None)
+        hit = first_step(m, Relation.BETA)
         if hit is None:
             return m, False
         m = hit[2]
-        key = alpha_canon(m)
+        key = alpha_key(m)
         if key in seen:
             return None, True
         seen.add(key)
@@ -239,27 +240,28 @@ def saturation_check(
     For every ambient term outside the member set, follow every reduction
     path for up to depth steps; reaching a member is a violation witness.
     """
-    member_keys = {alpha_canon(m) for m in members}
+    member_keys = {alpha_key(m) for m in members}
     report = SaturationReport()
     for m in ambient:
         report.checked += 1
-        if alpha_canon(m) in member_keys:
+        key = alpha_key(m)
+        if key in member_keys:
             continue
-        frontier = {m}
-        seen = {alpha_canon(m)}
+        frontier = [m]
+        seen = {key}
         hit = None
         for _ in range(depth):
-            nxt = set()
+            nxt = []
             for t in frontier:
                 for _, _, reduct in step_positions(t, r):
-                    key = alpha_canon(reduct)
+                    key = alpha_key(reduct)
                     if key in seen:
                         continue
                     seen.add(key)
                     if key in member_keys:
                         hit = reduct
                         break
-                    nxt.add(reduct)
+                    nxt.append(reduct)
                 if hit is not None:
                     break
             if hit is not None or not nxt:

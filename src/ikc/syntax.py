@@ -77,7 +77,7 @@ class Abs:
 
     @property
     def degree(self) -> Index:
-        return self.body.degree
+        return _degree(self.body)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,10 +102,18 @@ class App:
 
     @property
     def degree(self) -> Index:
-        return self.fun.degree
+        return _degree(self.fun)
 
 
 Term = Union[Var, Abs, App]
+
+
+def _degree(t: Term) -> Index:
+    """d(t): the Index of the variable reached through bodies and functions,
+    found without recursion so deep terms can be built."""
+    while t.__class__ is not Var:
+        t = t.body if t.__class__ is Abs else t.fun
+    return t.idx
 
 
 def free_vars(m: Term) -> frozenset[VarKey]:
@@ -370,7 +378,52 @@ def alpha_canon(m: Term) -> Term:
     return out
 
 
+# markers for the nodes in an alpha key; neither equals a name, an int or an Index
+_APP_MARK = None
+_ABS_MARK = ...
+
+
+def alpha_key(m: Term) -> tuple:
+    """A flat, name-free key of m: equal exactly when the alpha_canon forms are.
+
+    One iterative preorder walk.  An App becomes a marker; an Abs becomes a
+    marker and its Index; a bound variable becomes the preorder number of its
+    binder (an int) and a free one its name (a str), each followed by its
+    Index.  No term is built, so the key is cheap to make, hash and compare.
+    """
+    out: list = []
+    scope: dict[tuple[str, Index], int] = {}  # (name, Index) -> binder number
+    binders = 0
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            out.append(scope.get((t.name, t.idx), t.name))
+            out.append(t.idx)
+        elif cls is App:
+            out.append(_APP_MARK)
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif cls is Abs:
+            out.append(_ABS_MARK)
+            out.append(t.idx)
+            k = (t.var, t.idx)
+            # restore the shadowed binding once the body has been walked
+            stack.append((k, scope.get(k)))
+            scope[k] = binders
+            binders += 1
+            stack.append(t.body)
+        else:
+            k, outer = t
+            if outer is None:
+                del scope[k]
+            else:
+                scope[k] = outer
+    return tuple(out)
+
+
 def alpha_eq(m: Term, n: Term) -> bool:
     if m._fv != n._fv:
         return False
-    return alpha_canon(m) == alpha_canon(n)
+    return alpha_key(m) == alpha_key(n)

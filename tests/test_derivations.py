@@ -1,5 +1,6 @@
 import pytest
 
+from ikc import derivations
 from ikc.derivations import (
     AbsComponents,
     ArrE,
@@ -133,6 +134,30 @@ def test_macro_ax_elaborates():
 def test_macro_inter_i_meets_envs():
     d = MacroInterI(Ax("x", CAtom("a")), MacroAx("x", pt("(-> b b)")))
     assert check(d) == "(judg x[] ((x [] (^ a (-> b b)))) (^ a (-> b b)))"
+
+
+def _conclusions_to_parse_nested_meets(k, monkeypatch):
+    text = "(ax' x a)"
+    for _ in range(k):
+        text = f"(interI' (ax' x a) {text})"
+    count = 0
+    conclude = derivations._conclude
+
+    def counting(d):
+        nonlocal count
+        count += 1
+        return conclude(d)
+
+    monkeypatch.setattr(derivations, "_conclude", counting)
+    d = parse_derivation(text)
+    monkeypatch.undo()
+    assert print_derivation(d) == text
+    return count
+
+
+def test_nested_macros_elaborate_once(monkeypatch):
+    counts = [_conclusions_to_parse_nested_meets(k, monkeypatch) for k in (8, 16, 32)]
+    assert all(0 < b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_meet_rejects_different_subjects():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from ikc.gen import enumerate_terms, random_term
@@ -10,6 +12,7 @@ from ikc.reduction import (
     Verdict,
     check_local_confluence,
     equiv,
+    first_step,
     normalize,
     step,
     step_positions,
@@ -132,6 +135,36 @@ def test_local_confluence_small_enumeration():
     for m in enumerate_terms(4):
         for r in Relation:
             assert not check_local_confluence(m, r, 2).unjoined
+
+
+@pytest.mark.parametrize(
+    "text, rel, peaks",
+    [
+        (
+            "(app (lam x [] (app x[] (app x[] x[])))"
+            " (app (lam y [] y[]) (app (lam z [] z[]) w[])))",
+            "beta",
+            32,
+        ),
+        (
+            "(lam x [] (app (lam y [] (app y[] y[])) (app (lam z [] (app f[] z[])) x[])))",
+            "betaeta",
+            2,
+        ),
+        ("(app (lam x [] (app f[] x[])) (lam y [] (app g[] y[])))", "eta", 1),
+    ],
+)
+def test_confluence_peak_counts(text, rel, peaks):
+    rep = check_local_confluence(parse_term(text), Relation(rel), 3)
+    assert rep.peaks_checked == peaks
+    assert rep.ok
+
+
+def test_first_step_is_the_leftmost_outermost_step():
+    for m in enumerate_terms(5):
+        for r in Relation:
+            steps = step_positions(m, r)
+            assert first_step(m, r) == (steps[0] if steps else None)
 
 
 def test_step_deduplicates_alpha_variants():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ikc.errors import DegreeError, InputSyntaxError, JoinabilityError
-from ikc.gen import random_term
+from ikc.gen import enumerate_terms, random_term
 from ikc.syntax import (
     Abs,
     App,
@@ -10,6 +10,7 @@ from ikc.syntax import (
     VarKey,
     alpha_canon,
     alpha_eq,
+    alpha_key,
     free_map,
     free_vars,
     is_closed,
@@ -160,6 +161,52 @@ def test_alpha_canon_resolves_shadowing():
 def test_alpha_canon_idempotent(seed):
     m = rand(seed)
     assert alpha_canon(alpha_canon(m)) == alpha_canon(m)
+
+
+def _partition(terms, key):
+    groups = {}
+    for i, m in enumerate(terms):
+        groups.setdefault(key(m), set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_alpha_key_partitions_like_alpha_canon():
+    rng = random.Random(4242)
+    terms = enumerate_terms(5) + [random_term(rng, rng.randint(1, 12)) for _ in range(500)]
+    assert _partition(terms, alpha_key) == _partition(terms, alpha_canon)
+    assert all(alpha_key(alpha_canon(m)) == alpha_key(m) for m in terms)
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        # the inner binder shadows the outer one
+        ("(lam x [] (lam x [] x[]))", "(lam x [] (lam y [] y[]))", True),
+        ("(lam x [] (lam x [] x[]))", "(lam x [] (lam y [] x[]))", False),
+        # a same-named variable at another index is not bound by the binder
+        ("(lam x [] (lam x [1] x[]))", "(lam y [] (lam z [1] y[]))", True),
+        ("(lam x [] (lam x [1] x[]))", "(lam y [] (lam x [1] x[]))", False),
+        ("(lam x [1] x[])", "(lam y [1] x[])", True),
+        ("(lam x [1] x[])", "(lam x [1] x[1])", False),
+        # a free variable named like a canonical binder stays free
+        ("(lam x [] (app _a0[] x[]))", "(lam _a0 [] (app _a0[] _a0[]))", False),
+        ("(lam x [] (app _a0[] x[]))", "(lam y [] (app _a0[] y[]))", True),
+    ],
+)
+def test_alpha_key_edge_cases(a, b, same):
+    m, n = parse_term(a), parse_term(b)
+    assert (alpha_key(m) == alpha_key(n)) is same
+    assert (alpha_canon(m) == alpha_canon(n)) is same
+
+
+def test_alpha_key_deep_chain_does_not_recurse():
+    m = Var("v1", ())
+    for i in range(10_000):
+        m = Abs(f"v{i % 3}", (), m)
+    key = alpha_key(m)
+    # bound by the innermost v1 (built at i = 1), binder 9998 in preorder
+    assert key[-2:] == (9998, ())
+    assert len(key) == 2 * 10_000 + 2
 
 
 # ---------------------------------------------------------------- metadata
