@@ -396,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:  # the reader and printers still recurse
+        print("input error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -293,8 +293,12 @@ def check_local_confluence(
     """
     if join_depth is None:
         join_depth = depth + 2
-    cache: dict = {}
-    space = _reachable(m, alpha_key(m), r, depth, cache)
+    first = _keyed_steps(m, r)
+    if not first:  # no step, no peak: the common case, so m is not keyed
+        return ConfluenceReport(0, [])
+    key = alpha_key(m)
+    cache = {key: first}
+    space = _reachable(m, key, r, depth, cache)
     # step the outermost terms before any join search can cache an
     # alpha-variant of one of them, so each peak shows the term in space
     for k, t in space.items():

@@ -19,8 +19,9 @@ Unknown.  Fuel counts visited goals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
+from typing import Callable
 
 from .syntax import (
     Abs,
@@ -75,17 +76,57 @@ class Found:
     derivation: Derivation
 
 
-@dataclass(frozen=True, slots=True)
-class Refuted:
-    reason: str
+class _Reasoned:
+    """An outcome with a reason: a str, or a function that builds it.
+
+    Most reasons are never read, so the search passes a function and the
+    text is built, once, when .reason is first read.  Equality, hashing,
+    repr and matching go by the text.
+    """
+
+    __slots__ = ("_reason",)
+    __match_args__ = ("reason",)
+
+    def __init__(self, reason: str | Callable[[], str]):
+        object.__setattr__(self, "_reason", reason)
+
+    @property
+    def reason(self) -> str:
+        if not isinstance(self._reason, str):
+            object.__setattr__(self, "_reason", self._reason())
+        return self._reason
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.reason == other.reason
+
+    def __hash__(self) -> int:
+        return hash(self.reason)
+
+    def __reduce__(self):
+        return type(self), (self.reason,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(reason={self.reason!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
-    reason: str
+class Refuted(_Reasoned):
+    __slots__ = ()
+
+
+class Unknown(_Reasoned):
+    __slots__ = ()
 
 
 Outcome = Found | Refuted | Unknown
+
+# the one Unknown of a search that ran out of fuel; _app_goal tells it apart
+# from candidate exhaustion by identity
+_FUEL_OUT = Unknown("fuel exhausted")
 
 
 def bounded_typecheck(
@@ -94,15 +135,15 @@ def bounded_typecheck(
     """Search for a derivation of m : <g |- u> within fuel goals."""
     if frozenset(g.domain()) != free_vars(m):
         return Refuted(
-            f"environment domain {print_env(g)} does not bind exactly the free"
-            f" variables of {print_term(m)}"
+            lambda: f"environment domain {print_env(g)} does not bind exactly"
+            f" the free variables of {print_term(m)}"
         )
     if not env_ok(g):
         return Refuted("environment binding degree mismatch")
     if u.degree != m.degree:
         return Refuted(
-            f"goal degree {index_str(u.degree)} differs from subject degree"
-            f" {index_str(m.degree)}"
+            lambda: f"goal degree {index_str(u.degree)} differs from subject"
+            f" degree {index_str(m.degree)}"
         )
     searcher = _Searcher(fuel)
     out = searcher.goal(m, g, u)
@@ -126,7 +167,7 @@ class _Searcher:
         if hit is not None:
             return hit
         if self.fuel <= 0:
-            return Unknown("fuel exhausted")
+            return _FUEL_OUT
         self.fuel -= 1
         out = self._dispatch(m, g, u)
         self.memo[key] = out
@@ -144,8 +185,8 @@ class _Searcher:
                 if subtype(v, u):
                     return Found(sub_to(var_intro(name, v), g, u))
                 return Refuted(
-                    f"variable binding {print_type(v)} is not a subtype of"
-                    f" {print_type(u)}"
+                    lambda: f"variable binding {print_type(v)} is not a subtype"
+                    f" of {print_type(u)}"
                 )
             case Abs():
                 return self._abs_goal(m, g, u)
@@ -164,10 +205,10 @@ class _Searcher:
         for arg, res, binds, premise in inv.entries:
             sub = self.goal(premise.subject, premise.env, premise.typ)
             match sub:
-                case Refuted(reason):
+                case Refuted():
                     return Refuted(
-                        f"component {print_type(CT((), (CArrow(arg, res),)))}"
-                        f" fails: {reason}"
+                        lambda: f"component {print_type(CT((), (CArrow(arg, res),)))}"
+                        f" fails: {sub.reason}"
                     )
                 case Unknown():
                     return sub
@@ -213,12 +254,12 @@ class _Searcher:
             saw_fuel_out = False
             for w in candidates:
                 df = self.goal(f, gf, CT((), (CArrow(w, t),)))
-                if isinstance(df, Unknown) and df.reason == "fuel exhausted":
+                if df is _FUEL_OUT:
                     saw_fuel_out = True
                 if not isinstance(df, Found):
                     continue
                 da = self.goal(arg, ga, w)
-                if isinstance(da, Unknown) and da.reason == "fuel exhausted":
+                if da is _FUEL_OUT:
                     saw_fuel_out = True
                 if not isinstance(da, Found):
                     continue
@@ -226,10 +267,10 @@ class _Searcher:
                 break
             if piece is None:
                 if saw_fuel_out:
-                    return Unknown("fuel exhausted")
+                    return _FUEL_OUT
                 return Unknown(
-                    f"no candidate argument type derives {print_term(m)} :"
-                    f" {print_type(target)}"
+                    lambda: f"no candidate argument type derives {print_term(m)}"
+                    f" : {print_type(target)}"
                 )
             pieces.append(piece)
         return Found(reduce(InterI, pieces))

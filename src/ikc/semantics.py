@@ -199,13 +199,24 @@ def completeness_sample(
     size_bound: int,
     fuel: int = 100000,
     oracle_fuel: int = 2000,
+    pool: list[Term] | None = None,
 ) -> CompletenessReport:
-    """Typecheck every oracle member: refutations are hard violations."""
-    from .gen import enumerate_closed
+    """Typecheck every oracle member: refutations are hard violations.
 
+    The sample is enumerate_closed(size_bound) at the tag's degree; a caller
+    that has already enumerated closed terms passes them as pool, and its
+    terms of the tag's degree are the sample instead.
+    """
+    degree = _DEGREES[tag]
+    if pool is None:
+        from .gen import enumerate_closed
+
+        pool = enumerate_closed(size_bound, degree=degree)
     typ = EXAMPLE_TYPES[tag]
     report = CompletenessReport(tag)
-    for m in enumerate_closed(size_bound, degree=_DEGREES[tag]):
+    for m in pool:
+        if m.degree != degree:
+            continue
         v = oracle_membership(tag, m, oracle_fuel)
         if not v.member:
             continue

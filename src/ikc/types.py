@@ -12,12 +12,21 @@ Empty components = omega at the prefix.  A type's degree is its prefix;
 arrows and atoms live at degree [].  The subtype procedure compares
 same-prefix component sets: every right component must be dominated by some
 left component, arrows contravariantly on the left.
+
+Canonical nodes (CAtom, CArrow, CanonType) are hash-consed: constructing one
+returns the existing node with the same fields if there is one, so each
+distinct type is one object and == is identity.  A node stores its hash and
+its sort key (read by comp_key/type_key), both built from its children's
+stored ones, so neither is recomputed.  The tables hold nodes weakly, so
+they keep no type alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Union
+from weakref import WeakValueDictionary
 
 from .errors import DegreeError, InputSyntaxError, ShapeError
 from .syntax import Index, index_str, prefix_leq
@@ -60,24 +69,85 @@ RawType = Union[RAtom, ROmega, RArrow, RInter, RExp]
 # ---------------------------------------------------------------- canonical
 
 
-@dataclass(frozen=True, slots=True)
-class CAtom:
+class _Interned:
+    """Base of the hash-consed canonical nodes (see the module docstring).
+
+    Each subclass keeps a weak table from field tuples to nodes; its __new__
+    returns the table's node, or builds one with _intern.  == is object's
+    own identity test, and a node is immutable.
+    """
+
+    __slots__ = ("_key", "_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _intern(cls, fields: tuple, key) -> "_Interned":
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_key", key)
+        object.__setattr__(node, "_hash", hash(fields))
+        cls._table[fields] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copies and unpickled nodes are the interned ones
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __deepcopy__(self, memo):  # the node itself, without rebuilding its tree
+        return self
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({args})"
+
+
+class CAtom(_Interned):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    _table: WeakValueDictionary = WeakValueDictionary()
     name: str
 
+    def __new__(cls, name: str) -> "CAtom":
+        fields = (name,)
+        return cls._table.get(fields) or cls._intern(fields, (0, name))
 
-@dataclass(frozen=True, slots=True)
-class CArrow:
+
+class CArrow(_Interned):
+    __slots__ = ("arg", "res")
+    __match_args__ = ("arg", "res")
+    _table: WeakValueDictionary = WeakValueDictionary()
     arg: "CanonType"
     res: "CanonT"
+
+    def __new__(cls, arg: "CanonType", res: "CanonT") -> "CArrow":
+        fields = (arg, res)
+        return cls._table.get(fields) or cls._intern(fields, (1, arg._key, res._key))
 
 
 CanonT = Union[CAtom, CArrow]
 
 
-@dataclass(frozen=True, slots=True)
-class CanonType:
+class CanonType(_Interned):
+    __slots__ = ("prefix", "comps")
+    __match_args__ = ("prefix", "comps")
+    _table: WeakValueDictionary = WeakValueDictionary()
     prefix: Index
     comps: tuple[CanonT, ...]
+
+    def __new__(cls, prefix: Index, comps: tuple[CanonT, ...]) -> "CanonType":
+        fields = (prefix, comps)
+        return cls._table.get(fields) or cls._intern(
+            fields, (prefix, tuple(t._key for t in comps))
+        )
 
     @property
     def degree(self) -> Index:
@@ -87,22 +157,14 @@ class CanonType:
         return not self.comps
 
 
-def comp_key(t: CanonT):
-    match t:
-        case CAtom(name):
-            return (0, name)
-        case CArrow(arg, res):
-            return (1, type_key(arg), comp_key(res))
-    raise AssertionError(t)
-
-
-def type_key(u: CanonType):
-    return (u.prefix, tuple(comp_key(t) for t in u.comps))
+# The sort key stored in each node: (0, name) for an atom, (1, key of arg,
+# key of res) for an arrow, (prefix, keys of comps) for a type.  Equal keys
+# mean the same node, and sorting by it orders components canonically.
+comp_key = type_key = attrgetter("_key")
 
 
 def mk_canon(prefix: Index, comps) -> CanonType:
-    uniq = {comp_key(t): t for t in comps}
-    return CanonType(prefix, tuple(uniq[k] for k in sorted(uniq)))
+    return CanonType(prefix, tuple(sorted(set(comps), key=comp_key)))
 
 
 def omega(prefix: Index = ()) -> CanonType:
@@ -182,21 +244,23 @@ def subtype(u: CanonType, v: CanonType) -> bool:
     """Decide u <= v on canonical forms.
 
     Mixed degrees are simply not related (the relation preserves degree).
+    Equal types are one object, and the relation is reflexive.
     """
+    if u is v:
+        return True
     if u.prefix != v.prefix:
         return False
     return all(any(comp_leq(t, t2) for t in u.comps) for t2 in v.comps)
 
 
 def comp_leq(t: CanonT, t2: CanonT) -> bool:
+    if t is t2:  # equal components are one object; distinct atoms differ
+        return True
     match t, t2:
-        case CAtom(a), CAtom(b):
-            return a == b
         case CArrow(arg1, res1), CArrow(arg2, res2):
             # contravariant argument, covariant result
             return subtype(arg2, arg1) and comp_leq(res1, res2)
-        case _:
-            return False
+    return False
 
 
 # ---------------------------------------------------------------- parsing

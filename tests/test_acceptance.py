@@ -378,11 +378,22 @@ def test_criterion_8_semantics_oracles(corpus, closed9):
     assert covered == set(EXAMPLE_TYPES), covered
 
     # every oracle member typechecks; small identity/self-application
-    # members never come back unknown
+    # members never come back unknown.  The sample is closed9 itself, at
+    # each tag's degree; its counts (members, found, unknown, refuted) are
+    # pinned
+    counts = {
+        "id0": (406, 394, 12, 0),
+        "id1": (150, 143, 7, 0),
+        "d": (64, 64, 0, 0),
+        "nat0": (448, 438, 10, 0),
+        "nat1": (180, 175, 5, 0),
+        "natp0": (439, 427, 12, 0),
+    }
     unknown_small = []
     for tag in EXAMPLE_TYPES:
-        rep = completeness_sample(tag, 9)
+        rep = completeness_sample(tag, 9, pool=closed9)
         assert rep.refuted == 0, (tag, rep.refuted_terms[:5])
+        assert (rep.members, rep.found, rep.unknown, rep.refuted) == counts[tag], tag
         if tag in ("id0", "d"):
             unknown_small += [
                 (tag, print_term(m))

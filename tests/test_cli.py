@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,26 @@ def test_bad_fuel_env_is_an_input_error(capsys, monkeypatch, fuel):
     assert code == 2
     assert out == ""
     assert err == f"input error: IKC_FUEL must be a natural number, got {fuel!r}\n"
+
+
+# ---------------------------------------------------------------- deep input
+
+
+@pytest.mark.parametrize("verb", ["nf", "check-term"])
+def test_deeply_nested_input_is_an_input_error(verb):
+    # (app f[] (app f[] ... x[])) 1,500 deep, built without recursion; run in
+    # a fresh interpreter so nothing but the CLI's own output can appear
+    depth = 1500
+    term = "(app f[] " * depth + "x[]" + ")" * depth
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ikc.cli", verb, term],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: input nested too deeply\n"
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,11 @@
+import copy
 import pathlib
+import pickle
+from dataclasses import FrozenInstanceError
 
+import pytest
+
+from ikc import search
 from ikc.derivations import check_derivation
 from ikc.envs import Judgment, env_empty, mk_env, parse_env
 from ikc.search import Found, Refuted, Unknown, bounded_typecheck
@@ -151,3 +157,45 @@ def test_uniform_inner_degree_variant_is_not_found():
     out = bounded_typecheck(m, env_empty(), u, fuel=20000)
     assert not isinstance(out, Found)
     assert isinstance(out, Unknown)
+
+
+# ---------------------------------------------------------------- reasons
+
+
+def test_reasons_are_built_when_read(monkeypatch):
+    calls = []
+    printer = search.print_type
+    monkeypatch.setattr(search, "print_type", lambda u: calls.append(u) or printer(u))
+    out = bounded_typecheck(
+        parse_term("(lam x [] (lam y [] x[]))"), env_empty(), parse_type("(-> a (-> b b))")
+    )
+    assert isinstance(out, Refuted) and calls == []
+    text = (
+        "component (-> a (-> b b)) fails: component (-> b b) fails:"
+        " variable binding a is not a subtype of b"
+    )
+    assert out.reason == text
+    built = len(calls)
+    assert built > 0 and out.reason == text and len(calls) == built
+    match out:
+        case Refuted(reason):
+            assert reason == text
+        case _:
+            pytest.fail("Refuted(reason) did not bind")
+    assert repr(out) == f"Refuted(reason={text!r})"
+    assert out == Refuted(text) and hash(out) == hash(Refuted(text))
+    assert out != Unknown(text)
+    assert copy.copy(out) == out and pickle.loads(pickle.dumps(out)) == out
+    with pytest.raises(FrozenInstanceError):
+        out.reason = "other"
+
+
+def test_fuel_exhaustion_reason_text():
+    out = bounded_typecheck(
+        parse_term("(lam x [] (app x[] x[]))"),
+        env_empty(),
+        parse_type("(-> (^ a (-> a b)) b)"),
+        fuel=2,
+    )
+    assert out == Unknown("fuel exhausted")
+    assert out.reason == "fuel exhausted"

@@ -1,4 +1,9 @@
+import copy
+import gc
+import pickle
 import random
+import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +21,7 @@ from ikc.types import (
     expand_type,
     inter,
     lower_type,
+    mk_canon,
     omega,
     parse_type,
     print_type,
@@ -182,3 +188,89 @@ def test_comp_leq_on_atoms_and_arrows():
     g = CArrow(pt("a"), CAtom("c"))
     assert comp_leq(g, f)
     assert not comp_leq(f, g)
+
+
+# ---------------------------------------------------------------- interning
+
+
+def test_equal_types_are_one_object():
+    text = "(-> (^ a b) (-> (e 1 c) d))"
+    assert pt(text) is pt(text)
+    assert pt("(^ b (-> a a))") is pt("(^ (-> a a) b)")
+    assert CArrow(pt("a"), CAtom("b")) is singleton(pt("(-> a b)"))
+
+
+def test_mk_canon_permuted_or_duplicated_is_one_object():
+    a, b, f = CAtom("a"), CAtom("b"), CArrow(pt("a"), CAtom("b"))
+    u = mk_canon((1,), (a, b, f))
+    for comps in [(f, b, a), (b, a, f, a), (f, f, a, b, b)]:
+        assert mk_canon((1,), comps) is u
+    assert mk_canon((1,), ()) is omega((1,))
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for u in [pt("a"), pt("(w [2])"), pt("(e 3 (^ b (-> (^ a b) c)))")]:
+        assert copy.copy(u) is u
+        assert copy.deepcopy(u) is u
+        assert pickle.loads(pickle.dumps(u)) is u
+        for t in u.comps:
+            assert copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_interned_nodes_match_print_and_stay_frozen():
+    u = pt("(e 2 (-> a b))")
+    match u:
+        case CanonType(prefix, (CArrow(CanonType((), (CAtom(x),)), CAtom(y)),)):
+            assert (prefix, x, y) == ((2,), "a", "b")
+        case _:
+            pytest.fail("pattern did not bind")
+    assert repr(pt("(-> a b)")) == (
+        "CanonType(prefix=(), comps=(CArrow(arg=CanonType(prefix=(),"
+        " comps=(CAtom(name='a'),)), res=CAtom(name='b')),))"
+    )
+    with pytest.raises(FrozenInstanceError):
+        u.prefix = ()
+    with pytest.raises(FrozenInstanceError):
+        u.comps[0].res = CAtom("c")
+    with pytest.raises(FrozenInstanceError):
+        CAtom("a").name = "b"
+    assert u.prefix == (2,)
+
+
+def _build_right_nested(depth: int, builds: int) -> float:
+    """Process time of building a right-nested arrow type depth deep,
+    builds times over, each freed before the next is interned afresh."""
+    gc.disable()  # the cyclic collector's passes are not the cost under test
+    try:
+        start = time.process_time()
+        for _ in range(builds):
+            u = atom("a")
+            for _ in range(depth):
+                u = arrow(atom("b"), u)
+            assert type_key(u)[1][0][0] == 1 and hash(u) == hash(u)
+            del u
+        return time.process_time() - start
+    finally:
+        gc.enable()
+
+
+def test_deep_type_builds_in_linear_time():
+    # each node's hash and sort key come from its children's stored ones,
+    # so building costs O(1) per level; recomputing either would be O(n^2).
+    # Every sample does the same number of levels, so a burst of machine
+    # speed favours no size; best of nine rounds that alternate the sizes
+    builds = {500: 4, 1000: 2, 2000: 1}
+    best = dict.fromkeys(builds, float("inf"))
+    for _ in range(9):
+        for n, k in builds.items():
+            best[n] = min(best[n], _build_right_nested(n, k) / k)
+    assert best[1000] <= 2.5 * best[500], best
+    assert best[2000] <= 2.5 * best[1000], best
+    u = atom("a")
+    for _ in range(2000):
+        u = arrow(atom("b"), u)
+    depth, t = 0, singleton(u)
+    while isinstance(t, CArrow):
+        depth, t = depth + 1, t.res
+    assert depth == 2000
