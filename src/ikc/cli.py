@@ -37,7 +37,7 @@ from .semantics import (
     soundness_check,
     verdict_line,
 )
-from .syntax import parse_term, print_term
+from .syntax import free_vars, parse_term, print_term
 from .transform import subject_expand_beta, subject_reduce
 from .types import parse_type, print_type, subtype
 
@@ -68,8 +68,6 @@ def _default_fuel() -> int:
 
 
 def _cmd_check_term(ns) -> int:
-    from .syntax import free_vars
-
     try:
         m = parse_term(_load(ns.term))
     except InputSyntaxError:  # unreadable text is an input error, not an answer
@@ -248,9 +246,7 @@ def _cmd_completeness(ns) -> int:
 
 def _cmd_saturation(ns) -> int:
     tag = _tag(ns)
-    from .semantics import _DEGREES
-
-    degree = _DEGREES[tag]
+    degree = EXAMPLE_TYPES[tag].degree
     members = [
         m
         for m in enumerate_closed(ns.size, degree=degree)
@@ -396,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except RecursionError:  # the reader and printers still recurse
+    except RecursionError:  # the node parsers and printers still recurse
         print("input error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -46,7 +46,7 @@ from .syntax import (
     lift,
     prefix_leq,
     print_term,
-    _term_at,
+    term_at,
 )
 from .types import (
     CanonT,
@@ -61,6 +61,7 @@ from .types import (
     print_type,
     singleton,
     subtype,
+    type_of_node,
 )
 from .envs import (
     Env,
@@ -69,15 +70,14 @@ from .envs import (
     env_expand,
     env_inter,
     env_joinable,
+    env_of_node,
     env_omega,
     env_without,
     mk_env,
     print_env,
     typing_sub,
-    _env_of_node,
 )
 from . import sexpr
-from . import types as _types
 
 # ---------------------------------------------------------------- nodes
 
@@ -408,44 +408,36 @@ def invert_abs(j: Judgment) -> OmegaShape | AbsComponents | ShapeRefutation:
 # ---------------------------------------------------------------- parsing
 
 
+_BINARY = {"arrE": ArrE, "interI": InterI, "interI'": MacroInterI}
+
+
 def _deriv_of(node) -> Derivation:
     if not (isinstance(node, list) and node and isinstance(node[0], str)):
         raise InputSyntaxError("expected a derivation form")
     tag = node[0]
     rest = node[1:]
-    if tag == "ax":
+    if tag in ("ax", "ax'"):
         if len(rest) != 2 or not isinstance(rest[0], str):
-            raise InputSyntaxError("(ax name type)")
-        return Ax(rest[0], singleton(_ctype(rest[1])))
-    if tag == "ax'":
-        if len(rest) != 2 or not isinstance(rest[0], str):
-            raise InputSyntaxError("(ax' name type)")
-        return MacroAx(rest[0], _ctype(rest[1]))
+            raise InputSyntaxError(f"({tag} name type)")
+        typ = type_of_node(rest[1])
+        return Ax(rest[0], singleton(typ)) if tag == "ax" else MacroAx(rest[0], typ)
     if tag == "w":
-        term, i = _term_at(rest, 0)
+        term, i = term_at(rest, 0)
         if i != len(rest):
             raise InputSyntaxError("(w term)")
         return OmegaRule(term)
     if tag == "arrI":
         if len(rest) != 4 or not isinstance(rest[0], str) or not sexpr.is_index(rest[1]):
             raise InputSyntaxError("(arrI name index type derivation)")
-        return ArrI(rest[0], tuple(rest[1][1]), _ctype(rest[2]), _deriv_of(rest[3]))
+        return ArrI(rest[0], tuple(rest[1][1]), type_of_node(rest[2]), _deriv_of(rest[3]))
     if tag == "arrIW":
         if len(rest) != 3 or not isinstance(rest[0], str) or not sexpr.is_index(rest[1]):
             raise InputSyntaxError("(arrIW name index derivation)")
         return ArrIW(rest[0], tuple(rest[1][1]), _deriv_of(rest[2]))
-    if tag == "arrE":
+    if tag in _BINARY:
         if len(rest) != 2:
-            raise InputSyntaxError("(arrE derivation derivation)")
-        return ArrE(_deriv_of(rest[0]), _deriv_of(rest[1]))
-    if tag == "interI":
-        if len(rest) != 2:
-            raise InputSyntaxError("(interI derivation derivation)")
-        return InterI(_deriv_of(rest[0]), _deriv_of(rest[1]))
-    if tag == "interI'":
-        if len(rest) != 2:
-            raise InputSyntaxError("(interI' derivation derivation)")
-        return MacroInterI(_deriv_of(rest[0]), _deriv_of(rest[1]))
+            raise InputSyntaxError(f"({tag} derivation derivation)")
+        return _BINARY[tag](_deriv_of(rest[0]), _deriv_of(rest[1]))
     if tag == "exp":
         if len(rest) != 2 or not isinstance(rest[0], int):
             raise InputSyntaxError("(exp natural derivation)")
@@ -453,12 +445,8 @@ def _deriv_of(node) -> Derivation:
     if tag == "sub":
         if len(rest) != 3:
             raise InputSyntaxError("(sub derivation env type)")
-        return SubRule(_deriv_of(rest[0]), _env_of_node(rest[1]), _ctype(rest[2]))
+        return SubRule(_deriv_of(rest[0]), env_of_node(rest[1]), type_of_node(rest[2]))
     raise InputSyntaxError(f"unknown derivation head {tag!r}")
-
-
-def _ctype(node) -> CanonType:
-    return _types.canonicalize(_types._raw_of(node))
 
 
 def parse_derivation(text: str) -> Derivation:

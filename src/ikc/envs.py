@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeError, DomainError, InputSyntaxError
-from .syntax import Index, Term, VarKey, free_vars, index_str, prefix_leq
-from .types import CanonType, expand_type, inter, lower_type, omega, print_type, subtype
+from .syntax import Index, Term, VarKey, free_vars, index_str, prefix_leq, print_term, term_at
+from .types import (
+    CanonType, expand_type, inter, lower_type, omega, print_type, subtype, type_of_node,
+)
 from . import sexpr
-from . import types as _types
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +147,7 @@ def typing_sub(j1: Judgment, j2: Judgment) -> bool:
 # ---------------------------------------------------------------- parsing
 
 
-def _env_of_node(node) -> Env:
+def env_of_node(node) -> Env:
     if not isinstance(node, list):
         raise InputSyntaxError("expected an environment ((name index type) ...)")
     pairs = []
@@ -159,12 +160,12 @@ def _env_of_node(node) -> Env:
         ):
             raise InputSyntaxError("environment entries are (name index type)")
         key = VarKey(entry[0], tuple(entry[1][1]))
-        pairs.append((key, _types.canonicalize(_types._raw_of(entry[2]))))
+        pairs.append((key, type_of_node(entry[2])))
     return mk_env(pairs)
 
 
 def parse_env(text: str) -> Env:
-    return _env_of_node(sexpr.read_one(text))
+    return env_of_node(sexpr.read_one(text))
 
 
 def print_env(g: Env) -> str:
@@ -175,19 +176,15 @@ def print_env(g: Env) -> str:
 
 
 def parse_judgment(text: str) -> Judgment:
-    from .syntax import _term_at
-
     node = sexpr.read_one(text)
     if not (isinstance(node, list) and node and node[0] == "judg"):
         raise InputSyntaxError("expected (judg term env type)")
     body = node[1:]
-    term, i = _term_at(body, 0)
+    term, i = term_at(body, 0)
     if i + 2 != len(body):
         raise InputSyntaxError("judg needs exactly a term, an environment and a type")
-    return Judgment(term, _env_of_node(body[i]), _types.canonicalize(_types._raw_of(body[i + 1])))
+    return Judgment(term, env_of_node(body[i]), type_of_node(body[i + 1]))
 
 
 def print_judgment(j: Judgment) -> str:
-    from .syntax import print_term
-
     return f"(judg {print_term(j.subject)} {print_env(j.env)} {print_type(j.typ)})"

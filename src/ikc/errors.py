@@ -48,7 +48,3 @@ class NotAReductError(KernelError):
 
 class NotAnExpansionError(KernelError):
     """subject expansion: the source term does not reduce to the subject."""
-
-
-class TypeMismatchError(KernelError):
-    """Two types that had to coincide do not."""

@@ -3,6 +3,9 @@
 Each suite returns (name, ok, detail) so callers can print one line per
 property.  The suites are deliberately closed-form: enumeration bounds and
 seeds fully determine the work, so two runs with the same flags agree.
+
+The checks behind the suites return every violation they find, and the
+acceptance tests run the same checks on their own pools.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .gen import (
 from .reduction import Relation, check_local_confluence, step_positions
 from .rulesearch import derivable_pairs
 from .syntax import Term, free_vars, lift
-from .types import omega, subtype
+from .types import CanonT, CanonType, CArrow, CAtom, mk_canon, omega, print_type, subtype
 
 
 @dataclass(slots=True)
@@ -29,35 +32,42 @@ class PropResult:
     detail: str
 
 
-def _step_invariants(pool: list[Term]) -> PropResult:
-    checked = 0
+def _result(name: str, bad: list, detail: str) -> PropResult:
+    """A pass with detail, or a failure naming the first violation."""
+    if bad:
+        return PropResult(name, False, f"{len(bad)} violations, first {bad[0]}")
+    return PropResult(name, True, detail)
+
+
+def step_violations(pool: list[Term]) -> tuple[int, list]:
+    """Step every term under every relation.  A reduct keeps the term's
+    degree and gains no free variable; an eta-kind step, under betaeta too,
+    keeps the free variables exactly.  Returns the number of steps and the
+    violations as (what, relation value, term, reduct)."""
+    steps = 0
+    bad = []
     for m in pool:
-        deg = m.degree
         fv = free_vars(m)
-        for r in Relation:
-            for _, _, reduct in step_positions(m, r):
-                checked += 1
-                if reduct.degree != deg:
-                    return PropResult(
-                        "step-invariants", False, f"degree changed on {m}"
-                    )
+        for rel in Relation:
+            for kind, _, reduct in step_positions(m, rel):
+                steps += 1
+                if reduct.degree != m.degree:
+                    bad.append(("degree", rel.value, m, reduct))
                 fv2 = free_vars(reduct)
-                if r is Relation.ETA and fv2 != fv:
-                    return PropResult(
-                        "step-invariants", False, f"eta changed fv on {m}"
-                    )
-                if not fv2 <= fv:
-                    return PropResult(
-                        "step-invariants", False, f"fv grew on {m}"
-                    )
-    return PropResult("step-invariants", True, f"{checked} steps checked")
+                if kind == "eta":
+                    if fv2 != fv:
+                        bad.append(("eta-fv", rel.value, m, reduct))
+                elif not fv2 <= fv:
+                    bad.append(("fv-grew", rel.value, m, reduct))
+    return steps, bad
 
 
 def prop_step_invariants(size: int, seed: int, extra: int = 200) -> PropResult:
     pool = enumerate_terms(size)
     rng = random.Random(seed)
     pool += [random_term(rng, size + 3) for _ in range(extra)]
-    return _step_invariants(pool)
+    steps, bad = step_violations(pool)
+    return _result("step-invariants", bad, f"{steps} steps checked")
 
 
 def prop_lift_step_commute(size: int, seed: int, extra: int = 200) -> PropResult:
@@ -65,7 +75,7 @@ def prop_lift_step_commute(size: int, seed: int, extra: int = 200) -> PropResult
     pool = enumerate_terms(min(size, 5))
     rng = random.Random(seed)
     pool += [random_term(rng, size) for _ in range(extra)]
-    checked = 0
+    bad = []
     for m in pool:
         up = lift(m, 1)
         for r in Relation:
@@ -73,65 +83,93 @@ def prop_lift_step_commute(size: int, seed: int, extra: int = 200) -> PropResult
                 str(lift(reduct, 1)) for _, _, reduct in step_positions(m, r)
             )
             ups = sorted(str(reduct) for _, _, reduct in step_positions(up, r))
-            checked += 1
             if lifted != ups:
-                return PropResult(
-                    "lift-step-commute", False, f"mismatch on {m} under {r.name}"
-                )
-    return PropResult("lift-step-commute", True, f"{checked} term/relation pairs")
+                bad.append((r.value, m))
+    pairs = len(pool) * len(Relation)
+    return _result("lift-step-commute", bad, f"{pairs} term/relation pairs")
+
+
+def _weaken(rng, u: CanonType) -> CanonType:
+    # guaranteed supertype: drop components, weaken the survivors
+    if not u.comps or rng.random() < 0.1:
+        return omega(u.prefix)
+    keep = [c for c in u.comps if rng.random() < 0.75]
+    return mk_canon(u.prefix, [_weaken_comp(rng, c) for c in keep])
+
+
+def _weaken_comp(rng, c: CanonT) -> CanonT:
+    if isinstance(c, CAtom) or rng.random() < 0.4:
+        return c
+    arg = _strengthen(rng, c.arg) if rng.random() < 0.5 else c.arg
+    res = _weaken_comp(rng, c.res) if rng.random() < 0.7 else c.res
+    return CArrow(arg, res)
+
+
+def _strengthen(rng, u: CanonType) -> CanonType:
+    # guaranteed subtype: intersect with extra components
+    extra = random_canon_type(rng, 2)
+    return mk_canon(u.prefix, list(u.comps) + list(extra.comps))
+
+
+def subtype_order_violations(count: int, seed: int) -> list[tuple[str, ...]]:
+    """Reflexivity, the omega top and transitivity on count random types u,
+    each with a chain u <= v <= w built by weakening.  Returns the
+    violations as (what, printed types...)."""
+    rng = random.Random(seed)
+    broken = []
+    for _ in range(count):
+        u = random_canon_type(rng, rng.randint(1, 4))
+        if not subtype(u, u):
+            broken.append(("refl", print_type(u)))
+        if not subtype(u, omega(u.prefix)):
+            broken.append(("omega-top", print_type(u)))
+        v = _weaken(rng, u)
+        w = _weaken(rng, v)
+        if not (subtype(u, v) and subtype(v, w)):
+            broken.append(("chain", print_type(u), print_type(v), print_type(w)))
+        elif not subtype(u, w):
+            broken.append(("trans", print_type(u), print_type(w)))
+    return broken
 
 
 def prop_subtype_order(count: int, seed: int) -> PropResult:
     """Reflexivity, transitivity, and the omega top at each degree."""
-    rng = random.Random(seed)
-    tys = [random_canon_type(rng, rng.randint(1, 4)) for _ in range(count)]
-    for u in tys:
-        if not subtype(u, u):
-            return PropResult("subtype-order", False, f"not reflexive on {u}")
-        if not subtype(u, omega(u.degree)):
-            return PropResult("subtype-order", False, f"omega not top for {u}")
-    hits = 0
-    for _ in range(count):
-        u, v, w = rng.choice(tys), rng.choice(tys), rng.choice(tys)
-        if subtype(u, v) and subtype(v, w):
-            hits += 1
-            if not subtype(u, w):
-                return PropResult(
-                    "subtype-order", False, f"not transitive on {u}, {v}, {w}"
-                )
-    return PropResult(
-        "subtype-order", True, f"{len(tys)} types, {hits} transitivity hits"
-    )
+    bad = subtype_order_violations(count, seed)
+    return _result("subtype-order", bad, f"{count} types, {count} weakening chains transitive")
+
+
+def subtype_oracle_disagreements(tys: list[CanonType]) -> list[tuple[CanonType, CanonType]]:
+    """The pairs of tys on which subtype and the bounded rule-derivation
+    search disagree."""
+    facts = derivable_pairs(tys, max_depth=4)
+    return [(u, v) for u in tys for v in tys if subtype(u, v) != ((u, v) in facts)]
 
 
 def prop_subtype_oracle(depth: int = 2) -> PropResult:
     """Decision procedure against the bounded rule-derivation search."""
     tys = enumerate_canon_types(depth)
-    facts = derivable_pairs(tys, max_depth=4)
-    bad = 0
-    for u in tys:
-        for v in tys:
-            if subtype(u, v) != ((u, v) in facts):
-                bad += 1
-    if bad:
-        return PropResult("subtype-oracle", False, f"{bad} disagreements")
-    return PropResult(
-        "subtype-oracle", True, f"{len(tys)} types, {len(tys)**2} pairs agree"
-    )
+    bad = subtype_oracle_disagreements(tys)
+    return _result("subtype-oracle", bad, f"{len(tys)} types, {len(tys)**2} pairs agree")
+
+
+def unjoined_peaks(pool: list[Term], relations, depth: int = 3) -> tuple[int, list]:
+    """Check local confluence of every term under every relation.  Returns
+    the number of peaks checked and the unjoined ones as (relation, term,
+    peak term)."""
+    peaks = 0
+    unjoined = []
+    for m in pool:
+        for rel in relations:
+            report = check_local_confluence(m, rel, depth)
+            peaks += report.peaks_checked
+            unjoined += [(rel, m, t) for t, _, _ in report.unjoined]
+    return peaks, unjoined
 
 
 def prop_local_confluence(size: int, depth: int = 3) -> PropResult:
     pool = enumerate_terms(size)
-    for r in Relation:
-        for m in pool:
-            report = check_local_confluence(m, r, depth)
-            if report.unjoined:
-                return PropResult(
-                    "local-confluence", False, f"unjoined peak on {m} under {r.name}"
-                )
-    return PropResult(
-        "local-confluence", True, f"{len(pool)} terms x {len(Relation)} relations"
-    )
+    _, bad = unjoined_peaks(pool, Relation, depth)
+    return _result("local-confluence", bad, f"{len(pool)} terms x {len(Relation)} relations")
 
 
 SUITES = {

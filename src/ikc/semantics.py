@@ -135,15 +135,6 @@ _PATTERNS = {
     "natp0": _is_applier,
 }
 
-_DEGREES: dict[str, Index] = {
-    "id0": (),
-    "id1": (1,),
-    "d": (),
-    "nat0": (),
-    "nat1": (1,),
-    "natp0": (),
-}
-
 
 def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
     """Decide membership of m in the interpretation named by tag."""
@@ -151,7 +142,7 @@ def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
         raise ValueError(f"unknown interpretation tag: {tag}")
     if not is_closed(m):
         return OracleVerdict(False, reason="term has free variables")
-    if m.degree != _DEGREES[tag]:
+    if m.degree != EXAMPLE_TYPES[tag].degree:
         return OracleVerdict(
             False, reason=f"degree {list(m.degree)} does not match the type"
         )
@@ -207,7 +198,7 @@ def completeness_sample(
     that has already enumerated closed terms passes them as pool, and its
     terms of the tag's degree are the sample instead.
     """
-    degree = _DEGREES[tag]
+    degree = EXAMPLE_TYPES[tag].degree
     if pool is None:
         from .gen import enumerate_closed
 

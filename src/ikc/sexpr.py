@@ -1,124 +1,106 @@
-"""Tiny s-expression reader shared by the term/type/env/derivation parsers.
+"""The s-expression reader behind every parser.
 
-Tokens: '(' ')' '[' ']', naturals, and identifiers.  Commas count as
-whitespace so bracket lists may be written "[3, 2]" or "[3 2]".  The reader
-returns nested Python lists; '[...]' becomes ("index", [ints]) so the
-grammar layers above can tell the two bracket kinds apart.
+tokenize runs one regex and returns (kind, text, offset) tuples, kind being
+'(' ')' '[' ']' "nat" or "ident".  Whitespace and commas separate tokens, so
+"[3, 2]" reads as "[3 2]".  Naturals are decimal digits of any script that
+int() reads; identifiers start with a letter, '_', '-', '>' or '^' (so "->"
+and "^" are atoms) and go on with those, ASCII digits and "'".
+
+The reader keeps open lists on an explicit stack, so nesting costs no
+recursion.  A node is an int, an identifier str, ("index", [int, ...]) for
+a bracket list, or a list of nodes.  read_one reads exactly one node; read
+reads every top-level node (a term variable x[] is two).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import InputSyntaxError
 
-IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-IDENT_CONT = IDENT_START | set("0123456789'") | {"-", ">", "^"}
-# '-', '>' and '^' admit the operator heads "->" and "^" as plain atoms.
+_TOKEN = re.compile(
+    r"[\s,]+|(?P<p>[()\[\]])|(?P<nat>\d+)"
+    r"|(?P<ident>[A-Za-z_\->^][A-Za-z0-9_'\->^]*)|(?P<bad>.)",
+    re.DOTALL,
+)
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "(" | ")" | "[" | "]" | "nat" | "ident"
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace() or c == ",":
-            i += 1
-            continue
-        if c in "()[]":
-            toks.append(Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("nat", text[i:j], i))
-            i = j
-            continue
-        if c in IDENT_START or c in "->^":
-            j = i
-            while j < n and text[j] in IDENT_CONT:
-                j += 1
-            toks.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise InputSyntaxError(f"unexpected character {c!r} at offset {i}")
-    return toks
-
-
-# A parsed node is one of:
-#   int                      natural
-#   str                      identifier
-#   ("index", [int, ...])    bracket list
-#   [node, ...]              parenthesised list
 Node = object
 
 
-class _Reader:
-    def __init__(self, toks: list[Token], text: str):
-        self.toks = toks
-        self.text = text
-        self.i = 0
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        tok = m.group()
+        if kind == "p":
+            kind = tok
+        elif kind == "bad":
+            raise InputSyntaxError(f"unexpected character {tok!r} at offset {m.start()}")
+        toks.append((kind, tok, m.start()))
+    return toks
 
-    def peek(self) -> Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise InputSyntaxError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def read(self) -> Node:
-        t = self.next()
-        if t.kind == "nat":
-            return int(t.text)
-        if t.kind == "ident":
-            return t.text
-        if t.kind == "[":
-            items: list[int] = []
+def _read(text: str, one: bool):
+    toks = tokenize(text)
+    n = len(toks)
+    nodes: list[Node] = []
+    stack: list[tuple[int, list]] = []  # open '(' lists with their offsets
+    i = 0
+    while i < n:
+        kind, tok, pos = toks[i]
+        i += 1
+        if kind == "nat":
+            node = int(tok)
+        elif kind == "ident":
+            node = tok
+        elif kind == "(":
+            stack.append((pos, []))
+            continue
+        elif kind == ")" and stack:
+            node = stack.pop()[1]
+        elif kind == "[":
+            entries: list[int] = []
             while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise InputSyntaxError(f"unclosed '[' at offset {t.pos}")
-                if nxt.kind == "]":
-                    self.next()
-                    return ("index", items)
-                if nxt.kind != "nat":
+                if i == n:
+                    raise InputSyntaxError(f"unclosed '[' at offset {pos}")
+                kind, tok, at = toks[i]
+                i += 1
+                if kind == "]":
+                    break
+                if kind != "nat":
                     raise InputSyntaxError(
-                        f"index entries must be naturals, got {nxt.text!r} at offset {nxt.pos}"
+                        f"index entries must be naturals, got {tok!r} at offset {at}"
                     )
-                items.append(int(self.next().text))
-        if t.kind == "(":
-            items2: list[Node] = []
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise InputSyntaxError(f"unclosed '(' at offset {t.pos}")
-                if nxt.kind == ")":
-                    self.next()
-                    return items2
-                items2.append(self.read())
-        raise InputSyntaxError(f"unexpected {t.text!r} at offset {t.pos}")
+                entries.append(int(tok))
+            node = ("index", entries)
+        else:
+            raise InputSyntaxError(f"unexpected {tok!r} at offset {pos}")
+        if stack:
+            stack[-1][1].append(node)
+        elif not one:
+            nodes.append(node)
+        elif i < n:
+            _, tok, pos = toks[i]
+            raise InputSyntaxError(f"trailing input {tok!r} at offset {pos}")
+        else:
+            return node
+    if stack:
+        raise InputSyntaxError(f"unclosed '(' at offset {stack[-1][0]}")
+    if one:
+        raise InputSyntaxError("unexpected end of input")
+    return nodes
+
+
+def read(text: str) -> list[Node]:
+    """Every top-level node of text, in order."""
+    return _read(text, False)
 
 
 def read_one(text: str) -> Node:
-    """Parse exactly one s-expression; trailing garbage is an error."""
-    r = _Reader(tokenize(text), text)
-    node = r.read()
-    left = r.peek()
-    if left is not None:
-        raise InputSyntaxError(f"trailing input {left.text!r} at offset {left.pos}")
-    return node
+    """Exactly one node; trailing input is an error."""
+    return _read(text, True)
 
 
 def is_index(node: Node) -> bool:

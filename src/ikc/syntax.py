@@ -165,7 +165,8 @@ def term_size(m: Term) -> int:
 # ---------------------------------------------------------------- parsing
 
 
-def _term_at(nodes: list, i: int) -> tuple[Term, int]:
+def term_at(nodes: list, i: int) -> tuple[Term, int]:
+    """The term whose first node is nodes[i], and the position after it."""
     if i >= len(nodes):
         raise InputSyntaxError("expected a term, got end of input")
     head = nodes[i]
@@ -173,38 +174,29 @@ def _term_at(nodes: list, i: int) -> tuple[Term, int]:
         if i + 1 >= len(nodes) or not sexpr.is_index(nodes[i + 1]):
             raise InputSyntaxError(f"variable {head!r} must be followed by an index")
         return Var(head, tuple(nodes[i + 1][1])), i + 2
-    if isinstance(head, list):
-        return _term_of_list(head), i + 1
-    raise InputSyntaxError(f"expected a term, got {head!r}")
-
-
-def _term_of_list(items: list) -> Term:
-    if not items or not isinstance(items[0], str):
+    if not isinstance(head, list):
+        raise InputSyntaxError(f"expected a term, got {head!r}")
+    if not head or not isinstance(head[0], str):
         raise InputSyntaxError("expected (lam ...) or (app ...)")
-    tag = items[0]
-    if tag == "lam":
-        if len(items) < 4 or not isinstance(items[1], str) or not sexpr.is_index(items[2]):
+    if head[0] == "lam":
+        if len(head) < 4 or not isinstance(head[1], str) or not sexpr.is_index(head[2]):
             raise InputSyntaxError("lam needs a binder name, an index and a body")
-        body, j = _term_at(items, 3)
-        if j != len(items):
+        body, j = term_at(head, 3)
+        if j != len(head):
             raise InputSyntaxError("lam has trailing items after its body")
-        return Abs(items[1], tuple(items[2][1]), body)
-    if tag == "app":
-        fun, j = _term_at(items, 1)
-        arg, k = _term_at(items, j)
-        if k != len(items):
+        return Abs(head[1], tuple(head[2][1]), body), i + 1
+    if head[0] == "app":
+        fun, j = term_at(head, 1)
+        arg, k = term_at(head, j)
+        if k != len(head):
             raise InputSyntaxError("app has trailing items after its argument")
-        return App(fun, arg)
-    raise InputSyntaxError(f"unknown term head {tag!r}")
+        return App(fun, arg), i + 1
+    raise InputSyntaxError(f"unknown term head {head[0]!r}")
 
 
 def parse_term(text: str) -> Term:
-    nodes = sexpr.tokenize(text)
-    reader = sexpr._Reader(nodes, text)
-    parsed = []
-    while reader.peek() is not None:
-        parsed.append(reader.read())
-    term, j = _term_at(parsed, 0)
+    parsed = sexpr.read(text)
+    term, j = term_at(parsed, 0)
     if j != len(parsed):
         raise InputSyntaxError("trailing input after the term")
     return term

@@ -1,7 +1,7 @@
 """Intersection types with expansion prefixes and omega, in canonical form.
 
-Raw types follow the surface grammar (atoms, arrows, intersections, omega
-with an index, single-step expansions).  Canonicalisation quotients by
+type_of_node builds a written type (atoms, arrows, intersections, omega
+with an index, single-step expansions) in canonical form, which quotients by
 associativity/commutativity/idempotence of the intersection, neutrality of
 same-degree omega, and distribution of expansions over intersections:
 
@@ -23,7 +23,7 @@ they keep no type alive.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Union
 from weakref import WeakValueDictionary
@@ -31,40 +31,6 @@ from weakref import WeakValueDictionary
 from .errors import DegreeError, InputSyntaxError, ShapeError
 from .syntax import Index, index_str, prefix_leq
 from . import sexpr
-
-# ---------------------------------------------------------------- raw grammar
-
-
-@dataclass(frozen=True, slots=True)
-class RAtom:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class ROmega:
-    idx: Index
-
-
-@dataclass(frozen=True, slots=True)
-class RArrow:
-    arg: "RawType"
-    res: "RawType"
-
-
-@dataclass(frozen=True, slots=True)
-class RInter:
-    left: "RawType"
-    right: "RawType"
-
-
-@dataclass(frozen=True, slots=True)
-class RExp:
-    head: int
-    body: "RawType"
-
-
-RawType = Union[RAtom, ROmega, RArrow, RInter, RExp]
-
 
 # ---------------------------------------------------------------- canonical
 
@@ -182,30 +148,6 @@ def arrow(arg: CanonType, res: CanonType) -> CanonType:
     return CanonType((), (CArrow(arg, res.comps[0]),))
 
 
-def canonicalize(raw: RawType) -> CanonType:
-    match raw:
-        case RAtom(name):
-            return CanonType((), (CAtom(name),))
-        case ROmega(idx):
-            return CanonType(idx, ())
-        case RExp(head, body):
-            c = canonicalize(body)
-            return CanonType((head,) + c.prefix, c.comps)
-        case RInter(left, right):
-            cl, cr = canonicalize(left), canonicalize(right)
-            if cl.prefix != cr.prefix:
-                raise DegreeError(
-                    f"intersection of degrees {index_str(cl.prefix)} and {index_str(cr.prefix)}"
-                )
-            return mk_canon(cl.prefix, cl.comps + cr.comps)
-        case RArrow(arg, res):
-            cres = canonicalize(res)
-            if cres.prefix != () or len(cres.comps) != 1:
-                raise ShapeError("arrow result must be a single component at degree []")
-            return CanonType((), (CArrow(canonicalize(arg), cres.comps[0]),))
-    raise AssertionError(raw)
-
-
 def inter(u: CanonType, v: CanonType) -> CanonType:
     if u.prefix != v.prefix:
         raise DegreeError(
@@ -266,9 +208,10 @@ def comp_leq(t: CanonT, t2: CanonT) -> bool:
 # ---------------------------------------------------------------- parsing
 
 
-def _raw_of(node) -> RawType:
+def type_of_node(node) -> CanonType:
+    """Build the canonical type of a reader node in one pass, left to right."""
     if isinstance(node, str):
-        return RAtom(node)
+        return atom(node)
     if isinstance(node, list):
         if not node or not isinstance(node[0], str):
             raise InputSyntaxError("expected a type form")
@@ -276,29 +219,25 @@ def _raw_of(node) -> RawType:
         if tag == "w":
             if len(node) != 2 or not sexpr.is_index(node[1]):
                 raise InputSyntaxError("(w ...) needs one index")
-            return ROmega(tuple(node[1][1]))
+            return omega(tuple(node[1][1]))
         if tag == "->":
             if len(node) != 3:
                 raise InputSyntaxError("(-> ...) needs two types")
-            return RArrow(_raw_of(node[1]), _raw_of(node[2]))
+            return arrow(type_of_node(node[1]), type_of_node(node[2]))
         if tag == "^":
             if len(node) != 3:
                 raise InputSyntaxError("(^ ...) needs two types")
-            return RInter(_raw_of(node[1]), _raw_of(node[2]))
+            return inter(type_of_node(node[1]), type_of_node(node[2]))
         if tag == "e":
             if len(node) != 3 or not isinstance(node[1], int):
                 raise InputSyntaxError("(e ...) needs a natural and a type")
-            return RExp(node[1], _raw_of(node[2]))
+            return expand_type(node[1], type_of_node(node[2]))
         raise InputSyntaxError(f"unknown type head {tag!r}")
     raise InputSyntaxError(f"expected a type, got {node!r}")
 
 
-def parse_raw_type(text: str) -> RawType:
-    return _raw_of(sexpr.read_one(text))
-
-
 def parse_type(text: str) -> CanonType:
-    return canonicalize(parse_raw_type(text))
+    return type_of_node(sexpr.read_one(text))
 
 
 def print_comp(t: CanonT) -> str:

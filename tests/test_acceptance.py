@@ -21,19 +21,22 @@ from ikc.gen import (
     enumerate_canon_types,
     enumerate_closed,
     enumerate_terms,
-    random_canon_type,
     random_term,
+)
+from ikc.props import (
+    step_violations,
+    subtype_oracle_disagreements,
+    subtype_order_violations,
+    unjoined_peaks,
 )
 from ikc.reduction import (
     NormalForm,
     Relation,
     Verdict,
-    check_local_confluence,
     equiv,
     normalize,
     step_positions,
 )
-from ikc.rulesearch import derivable_pairs
 from ikc.search import Found, Refuted, bounded_typecheck
 from ikc.semantics import (
     EXAMPLE_TYPES,
@@ -53,7 +56,7 @@ from ikc.syntax import (
     print_term,
     term_size,
 )
-from ikc.types import CArrow, CAtom, mk_canon, omega, parse_type, print_type, subtype
+from ikc.types import omega, parse_type, print_type, subtype
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -124,21 +127,7 @@ def test_criterion_2_eta_counterexample():
 
 def test_criterion_3_step_invariants(enum7):
     sample = enum7 + _random_larger_terms()
-    bad = []
-    steps = 0
-    for m in sample:
-        fv = free_vars(m)
-        for rel in Relation:
-            for kind, path, reduct in step_positions(m, rel):
-                steps += 1
-                if reduct.degree != m.degree:
-                    bad.append(("degree", rel.value, m, reduct))
-                fv2 = free_vars(reduct)
-                if kind == "eta":
-                    if fv2 != fv:
-                        bad.append(("eta-fv", rel.value, m, reduct))
-                elif not fv2 <= fv:
-                    bad.append(("fv-grew", rel.value, m, reduct))
+    steps, bad = step_violations(sample)
     assert not bad, bad[:5]
     print(
         f"criterion 3: pass - {len(sample)} terms, {steps} steps,"
@@ -151,17 +140,10 @@ def test_criterion_3_step_invariants(enum7):
 
 def test_criterion_4_local_confluence(enum7):
     t0 = time.perf_counter()
-    unjoined = []
-    peaks = 0
     rels = (Relation.BETA, Relation.ETA, Relation.BETAETA, Relation.H)
-    for m in enum7:
-        for rel in rels:
-            rep = check_local_confluence(m, rel, 3)
-            peaks += rep.peaks_checked
-            for t, a, b in rep.unjoined:
-                unjoined.append((rel.value, print_term(t)))
+    peaks, unjoined = unjoined_peaks(enum7, rels, 3)
     dt = time.perf_counter() - t0
-    assert not unjoined, unjoined[:5]
+    assert not unjoined, [(rel.value, print_term(t)) for rel, _, t in unjoined[:5]]
     assert dt < 300.0, f"took {dt:.0f}s"
     print(
         f"criterion 4: pass - {len(enum7)} terms x {len(rels)} relations,"
@@ -172,52 +154,14 @@ def test_criterion_4_local_confluence(enum7):
 # ---------------------------------------------------------------- 5
 
 
-def _weaken(rng, u):
-    # guaranteed supertype: drop components, weaken the survivors
-    if not u.comps or rng.random() < 0.1:
-        return omega(u.prefix)
-    keep = [c for c in u.comps if rng.random() < 0.75]
-    return mk_canon(u.prefix, [_weaken_comp(rng, c) for c in keep])
-
-
-def _weaken_comp(rng, c):
-    if isinstance(c, CAtom) or rng.random() < 0.4:
-        return c
-    arg = _strengthen(rng, c.arg) if rng.random() < 0.5 else c.arg
-    res = _weaken_comp(rng, c.res) if rng.random() < 0.7 else c.res
-    return CArrow(arg, res)
-
-
-def _strengthen(rng, u):
-    # guaranteed subtype: intersect with extra components
-    extra = random_canon_type(rng, 2)
-    return mk_canon(u.prefix, list(u.comps) + list(extra.comps))
-
-
 def test_criterion_5_subtyping_agreement():
     family = enumerate_canon_types(3)
-    oracle = derivable_pairs(family, max_depth=4)
-    disagreements = []
-    for u in family:
-        for v in family:
-            if subtype(u, v) != ((u, v) in oracle):
-                disagreements.append((print_type(u), print_type(v)))
-    assert not disagreements, disagreements[:5]
+    disagreements = subtype_oracle_disagreements(family)
+    assert not disagreements, [
+        (print_type(u), print_type(v)) for u, v in disagreements[:5]
+    ]
 
-    rng = random.Random(2311)
-    broken = []
-    for _ in range(10000):
-        u = random_canon_type(rng, rng.randint(1, 4))
-        if not subtype(u, u):
-            broken.append(("refl", print_type(u)))
-        if not subtype(u, omega(u.prefix)):
-            broken.append(("omega-top", print_type(u)))
-        v = _weaken(rng, u)
-        w = _weaken(rng, v)
-        if not (subtype(u, v) and subtype(v, w)):
-            broken.append(("chain", print_type(u), print_type(v), print_type(w)))
-        elif not subtype(u, w):
-            broken.append(("trans", print_type(u), print_type(w)))
+    broken = subtype_order_violations(10000, 2311)
     for u in family:
         if not subtype(u, omega(u.prefix)):
             broken.append(("omega-top", print_type(u)))

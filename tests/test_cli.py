@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ikc.cli import main
 
@@ -196,6 +199,79 @@ def test_ill_formed_term_is_a_negative_answer(capsys):
     code, out, _ = run(capsys, "check-term", "(app x[1] y[])")
     assert code == 1
     assert out.startswith("ill-formed\t")
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["check-term", "x[²]"], 2),
+        (["subtype", "(e ² a)", "a"], 3),
+        (["check-deriv", "(ax x (e ² a))"], 9),
+    ],
+)
+def test_digit_int_cannot_read_is_an_input_error(capsys, argv, offset):
+    # '²' is a digit to str.isdigit but not to int(): one line, exit 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: unexpected character '²' at offset {offset}\n"
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- fuzz
+
+
+_ATOMS = [
+    "(", ")", "[", "]", "(", ")", "[]", "[1]", "[0 1]", "0", "1", "12",
+    "lam", "app", "judg", "->", "^", "e", "w", "x", "y", "f", "a", "b",
+    "x[]", "y[1]", "ax", "ax'", "arrI", "arrIW", "arrE", "interI",
+    "interI'", "exp", "sub", ",", "²", "¹", "٣", "é", "λ", "\u00a0", "#",
+]
+_WHOLE = [
+    "a",
+    "(-> a a)",
+    "(lam x [] x[])",
+    "(app (lam x [] x[]) y[])",
+    "(lam f [1] (lam y [1] (app f[1] y[1])))",
+    "(-> (^ a (e 1 (w [2]))) (-> a b))",
+    "(arrE (arrI x [] a (ax x a)) (ax y a))",
+    "(sub (ax' x (e 1 a)) ((x [1] (e 1 a))) (e 1 (w [])))",
+]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_ATOMS), max_size=16).map(" ".join),
+    st.builds(lambda t, k: t[:k], st.sampled_from(_WHOLE), st.integers(0, 60)),
+    st.sampled_from(_WHOLE),
+)
+_DEEP = "(app f[] " * 10_000 + "x[]" + ")" * 10_000
+
+
+def _argv(verb, text, other):
+    # "--" keeps a text that starts with '-' from reading as an option
+    return {
+        "check-term": ["check-term", "--", text],
+        "nf": ["nf", "--fuel=50", "--", text],
+        "subtype": ["subtype", "--", text, other],
+        "check-deriv": ["check-deriv", "--", text],
+        "typecheck": ["typecheck", "--fuel=200", f"--type={other}", "--", text],
+        "oracle": ["oracle", "--fuel=200", "--", "id0", text],
+    }[verb]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["check-term", "nf", "subtype", "check-deriv", "typecheck", "oracle"]),
+    _TEXTS,
+    _TEXTS,
+)
+@example("check-term", "x[²]", "a")
+@example("nf", _DEEP, "a")
+def test_fuzzed_input_keeps_the_exit_code_contract(verb, text, other):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_argv(verb, text, other))
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------- environment
