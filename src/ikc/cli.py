@@ -1,7 +1,8 @@
 """Command-line front end for the kernel.
 
 Exit codes: 0 for a positive verdict, 1 for a negative one (subtype false,
-non-member, refuted or unknown search, failed check), 2 for input errors.
+non-member, refuted or unknown search, failed check), 2 for input errors,
+usage errors included.
 Arguments ending in .trm/.typ/.env/.jdg/.drv are read from files; anything
 else is parsed as a literal s-expression.
 """
@@ -85,7 +86,7 @@ def _cmd_check_term(ns) -> int:
 
 def _cmd_reduce(ns) -> int:
     m = parse_term(_load(ns.term))
-    r = Relation.of(ns.rel)
+    r = Relation(ns.rel)
     print(print_term(m))
     for _ in range(ns.fuel):
         nxt = first_step(m, r)
@@ -98,7 +99,7 @@ def _cmd_reduce(ns) -> int:
 
 def _cmd_nf(ns) -> int:
     m = parse_term(_load(ns.term))
-    out = normalize(m, Relation.of(ns.rel), ns.fuel)
+    out = normalize(m, Relation(ns.rel), ns.fuel)
     match out:
         case NormalForm(term, steps):
             print(f"{print_term(term)}\tnormal\t{steps} steps")
@@ -112,14 +113,14 @@ def _cmd_nf(ns) -> int:
 def _cmd_equiv(ns) -> int:
     m = parse_term(_load(ns.term))
     n = parse_term(_load(ns.other))
-    v = equiv(m, n, Relation.of(ns.rel), ns.fuel)
+    v = equiv(m, n, Relation(ns.rel), ns.fuel)
     print(v.value)
     return 0 if v is Verdict.EQUIVALENT else 1
 
 
 def _cmd_confluence(ns) -> int:
     m = parse_term(_load(ns.term))
-    report = check_local_confluence(m, Relation.of(ns.rel), ns.size)
+    report = check_local_confluence(m, Relation(ns.rel), ns.size)
     if report.unjoined:
         t, a, b = report.unjoined[0]
         print(
@@ -156,7 +157,7 @@ def _cmd_sr(ns) -> int:
         return 1
     n = parse_term(_load(ns.term))
     try:
-        d2 = subject_reduce(d, n, Relation.of(ns.rel), ns.fuel)
+        d2 = subject_reduce(d, n, Relation(ns.rel), ns.fuel)
     except KernelError as e:
         print(f"failed\t{e}")
         return 1
@@ -253,7 +254,7 @@ def _cmd_saturation(ns) -> int:
         if oracle_membership(tag, m, ns.fuel).member
     ]
     ambient = enumerate_closed(ns.size + 2, degree=degree)
-    report = saturation_check(members, ambient, Relation.of(ns.rel), 3)
+    report = saturation_check(members, ambient, Relation(ns.rel), 3)
     for m, hit in report.violations[:10]:
         print(f"{print_term(m)}\tescapes\treaches {print_term(hit)}")
     ok = not report.violations
@@ -281,9 +282,16 @@ def _cmd_props(ns) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error; subparsers share the class."""
+
+    def error(self, message):
+        raise InputSyntaxError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     fuel = _default_fuel()
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ikc",
         description="kernel for a degree-indexed lambda-calculus with "
         "intersection types and expansion heads",

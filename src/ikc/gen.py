@@ -32,19 +32,19 @@ from .types import (
 
 # ---------------------------------------------------------------- terms
 
+_NAMES = ("x", "y", "z")
+_INDEXES: tuple[Index, ...] = ((), (1,))
 
-def enumerate_terms(
-    max_size: int,
-    names: tuple[str, ...] = ("x", "y", "z"),
-    indexes: tuple[Index, ...] = ((), (1,)),
-) -> list[Term]:
-    """All well-formed terms of size <= max_size over the given pools."""
+
+def enumerate_terms(max_size: int, indexes: tuple[Index, ...] = _INDEXES) -> list[Term]:
+    """All well-formed terms of size <= max_size over x, y, z and the given
+    indexes."""
     by_size: list[list[Term]] = [[]]
-    by_size.append([Var(n, i) for n in names for i in indexes])
+    by_size.append([Var(n, i) for n in _NAMES for i in indexes])
     for size in range(2, max_size + 1):
         layer: list[Term] = []
         for body in by_size[size - 1]:
-            for n in names:
+            for n in _NAMES:
                 for i in indexes:
                     if prefix_leq(body.degree, i):
                         layer.append(Abs(n, i, body))
@@ -57,11 +57,7 @@ def enumerate_terms(
     return [m for layer in by_size for m in layer]
 
 
-def enumerate_closed(
-    max_size: int,
-    indexes: tuple[Index, ...] = ((), (1,)),
-    degree: Index | None = None,
-) -> list[Term]:
+def enumerate_closed(max_size: int, degree: Index | None = None) -> list[Term]:
     """All closed terms of size <= max_size, one per alpha class.
 
     Binders are named by nesting depth (v0, v1, ...), so distinct terms in
@@ -81,7 +77,7 @@ def enumerate_closed(
         if size >= 2:
             depth = len(bound)
             name = f"v{depth}"
-            for i in indexes:
+            for i in _INDEXES:
                 for body in go(size - 1, bound + ((name, i),)):
                     if prefix_leq(body.degree, i):
                         out.append(Abs(name, i, body))
@@ -104,39 +100,34 @@ def enumerate_closed(
     return result
 
 
-def random_term(
-    rng: random.Random,
-    size: int,
-    names: tuple[str, ...] = ("x", "y", "z"),
-    indexes: tuple[Index, ...] = ((), (1,)),
-) -> Term:
+def random_term(rng: random.Random, size: int) -> Term:
     """A pseudo-random well-formed term of at most the requested size."""
     if size <= 1:
-        return Var(rng.choice(names), rng.choice(indexes))
+        return Var(rng.choice(_NAMES), rng.choice(_INDEXES))
     shape = rng.random()
     if shape < 0.45 or size == 2:
-        body = random_term(rng, size - 1, names, indexes)
-        fits = [i for i in indexes if prefix_leq(body.degree, i)]
+        body = random_term(rng, size - 1)
+        fits = [i for i in _INDEXES if prefix_leq(body.degree, i)]
         idx = rng.choice(fits) if fits else body.degree
-        return Abs(rng.choice(names), idx, body)
+        return Abs(rng.choice(_NAMES), idx, body)
     fsize = rng.randint(1, size - 2)
     for _ in range(8):
-        f = random_term(rng, fsize, names, indexes)
-        a = random_term(rng, size - 1 - fsize, names, indexes)
+        f = random_term(rng, fsize)
+        a = random_term(rng, size - 1 - fsize)
         if prefix_leq(f.degree, a.degree) and joinable(f, a):
             return App(f, a)
-    return random_term(rng, size - 1, names, indexes)
+    return random_term(rng, size - 1)
 
 
 # ---------------------------------------------------------------- types
 
+_ATOMS = ("a", "b")
+_HEADS = (0, 1)
 
-def enumerate_canon_types(
-    max_depth: int,
-    atoms: tuple[str, ...] = ("a", "b"),
-    heads: tuple[int, ...] = (0, 1),
-) -> list[CanonType]:
-    """All canonical types up to a structural depth bound.
+
+def enumerate_canon_types(max_depth: int) -> list[CanonType]:
+    """All canonical types over atoms a, b and heads 0, 1 up to a structural
+    depth bound.
 
     Depth: an atom costs 1, an arrow costs 1 plus its deepest side, each
     expansion head costs 1, and an intersection of two components costs 1.
@@ -155,7 +146,7 @@ def enumerate_canon_types(
     for d in range(1, max_depth + 1):
         layer_c: list[CanonT] = []
         if d == 1:
-            layer_c.extend(CAtom(a) for a in atoms)
+            layer_c.extend(CAtom(a) for a in _ATOMS)
         for arg in types_upto(d - 1):
             for res in comps_upto(d - 1):
                 layer_c.append(CArrow(arg, res))
@@ -171,7 +162,7 @@ def enumerate_canon_types(
 
         for plen in range(0, d + 1):
             inner = d - plen
-            prefixes = _prefixes(heads, plen)
+            prefixes = _prefixes(plen)
             for prefix in prefixes:
                 if inner == 0:
                     emit(CT(prefix, ()))
@@ -189,29 +180,24 @@ def enumerate_canon_types(
     return types_upto(max_depth)
 
 
-def _prefixes(heads: tuple[int, ...], length: int) -> list[Index]:
+def _prefixes(length: int) -> list[Index]:
     out: list[Index] = [()]
     for _ in range(length):
-        out = [p + (h,) for p in out for h in heads]
+        out = [p + (h,) for p in out for h in _HEADS]
     return [p for p in out if len(p) == length]
 
 
-def random_canon_type(
-    rng: random.Random,
-    depth: int,
-    atoms: tuple[str, ...] = ("a", "b"),
-    heads: tuple[int, ...] = (0, 1),
-) -> CanonType:
+def random_canon_type(rng: random.Random, depth: int) -> CanonType:
     """A pseudo-random canonical type of bounded structural depth."""
 
     def comp(d: int) -> CanonT:
         if d <= 1 or rng.random() < 0.4:
-            return CAtom(rng.choice(atoms))
+            return CAtom(rng.choice(_ATOMS))
         return CArrow(go(d - 1), comp(d - 1))
 
     def go(d: int) -> CanonType:
         plen = rng.randint(0, min(d, 2))
-        prefix = tuple(rng.choice(heads) for _ in range(plen))
+        prefix = tuple(rng.choice(_HEADS) for _ in range(plen))
         inner = d - plen
         if inner <= 0:
             return CT(prefix, ())

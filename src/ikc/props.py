@@ -62,19 +62,19 @@ def step_violations(pool: list[Term]) -> tuple[int, list]:
     return steps, bad
 
 
-def prop_step_invariants(size: int, seed: int, extra: int = 200) -> PropResult:
+def prop_step_invariants(size: int, seed: int) -> PropResult:
     pool = enumerate_terms(size)
     rng = random.Random(seed)
-    pool += [random_term(rng, size + 3) for _ in range(extra)]
+    pool += [random_term(rng, size + 3) for _ in range(200)]
     steps, bad = step_violations(pool)
     return _result("step-invariants", bad, f"{steps} steps checked")
 
 
-def prop_lift_step_commute(size: int, seed: int, extra: int = 200) -> PropResult:
+def prop_lift_step_commute(size: int, seed: int) -> PropResult:
     """Lifting a term lifts each of its reducts, step for step."""
     pool = enumerate_terms(min(size, 5))
     rng = random.Random(seed)
-    pool += [random_term(rng, size) for _ in range(extra)]
+    pool += [random_term(rng, size) for _ in range(200)]
     bad = []
     for m in pool:
         up = lift(m, 1)
@@ -141,7 +141,7 @@ def prop_subtype_order(count: int, seed: int) -> PropResult:
 def subtype_oracle_disagreements(tys: list[CanonType]) -> list[tuple[CanonType, CanonType]]:
     """The pairs of tys on which subtype and the bounded rule-derivation
     search disagree."""
-    facts = derivable_pairs(tys, max_depth=4)
+    facts = derivable_pairs(tys)
     return [(u, v) for u in tys for v in tys if subtype(u, v) != ((u, v) in facts)]
 
 
@@ -173,8 +173,8 @@ def prop_local_confluence(size: int, depth: int = 3) -> PropResult:
 
 
 SUITES = {
-    "step-invariants": lambda size, seed: prop_step_invariants(size, seed),
-    "lift-step-commute": lambda size, seed: prop_lift_step_commute(size, seed),
+    "step-invariants": prop_step_invariants,
+    "lift-step-commute": prop_lift_step_commute,
     "subtype-order": lambda size, seed: prop_subtype_order(max(size, 4) * 250, seed),
     "subtype-oracle": lambda size, seed: prop_subtype_oracle(min(size, 3)),
     "local-confluence": lambda size, seed: prop_local_confluence(min(size, 5)),

@@ -42,10 +42,6 @@ class Relation(Enum):
     BETAETA = "betaeta"
     H = "h"
 
-    @classmethod
-    def of(cls, name: str) -> "Relation":
-        return cls(name)
-
 
 def beta_contract(m: App) -> Term:
     f = m.fun
@@ -282,17 +278,13 @@ def _reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dic
     return seen
 
 
-def check_local_confluence(
-    m: Term, r: Relation, depth: int, join_depth: int | None = None
-) -> ConfluenceReport:
+def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport:
     """Check every peak among terms reachable from m within depth steps.
 
     A peak t1 <- t -> t2 counts as joined when the reducts of t1 and t2 share
-    a term within join_depth further steps (default depth + 2).  Each term is
-    stepped once per call: the peaks and the join searches share one cache.
+    a term within depth + 2 further steps.  Each term is stepped once per
+    call: the peaks and the join searches share one cache.
     """
-    if join_depth is None:
-        join_depth = depth + 2
     first = _keyed_steps(m, r)
     if not first:  # no step, no peak: the common case, so m is not keyed
         return ConfluenceReport(0, [])
@@ -314,7 +306,7 @@ def check_local_confluence(
             for j in range(i + 1, len(reducts)):
                 peaks += 1
                 (k1, t1), (k2, t2) = reducts[i], reducts[j]
-                if not _joinable(t1, k1, t2, k2, r, join_depth, cache):
+                if not _joinable(t1, k1, t2, k2, r, depth + 2, cache):
                     unjoined.append((t, t1, t2))
     return ConfluenceReport(peaks, unjoined)
 

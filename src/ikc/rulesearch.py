@@ -3,7 +3,7 @@
 This is an independent route to the subtype relation: instead of the
 syntax-directed decision procedure in types.py, it saturates a set of
 inference rules over a finite universe of types, counting rule depth.
-A pair (u, v) is accepted when some derivation of depth <= max_depth
+A pair (u, v) is accepted when some derivation of depth <= 4
 concludes u <= v.  Rules:
 
     refl        u <= u
@@ -58,10 +58,8 @@ def closure_universe(types: list[CanonType]) -> list[CanonType]:
 # ---------------------------------------------------------------- saturation
 
 
-def derivable_pairs(
-    types: list[CanonType], max_depth: int = 4
-) -> set[tuple[CanonType, CanonType]]:
-    """All pairs of universe types related by a derivation of bounded depth."""
+def derivable_pairs(types: list[CanonType]) -> set[tuple[CanonType, CanonType]]:
+    """All pairs of universe types related by a derivation of depth <= 4."""
     universe = closure_universe(types)
     by_prefix: dict[tuple[int, ...], list[CanonType]] = {}
     for u in universe:
@@ -84,7 +82,7 @@ def derivable_pairs(
                 if u is v or set(v.comps) <= set(u.comps):
                     add(u, v)
 
-    for _ in range(max_depth - 1):
+    for _ in range(3):  # depths 2 to 4
         new: list[tuple[CanonType, CanonType]] = []
         for group in by_prefix.values():
             for u in group:

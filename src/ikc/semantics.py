@@ -189,7 +189,6 @@ def completeness_sample(
     tag: str,
     size_bound: int,
     fuel: int = 100000,
-    oracle_fuel: int = 2000,
     pool: list[Term] | None = None,
 ) -> CompletenessReport:
     """Typecheck every oracle member: refutations are hard violations.
@@ -208,7 +207,7 @@ def completeness_sample(
     for m in pool:
         if m.degree != degree:
             continue
-        v = oracle_membership(tag, m, oracle_fuel)
+        v = oracle_membership(tag, m)
         if not v.member:
             continue
         report.members += 1

@@ -13,6 +13,13 @@ alpha-equivalent.
   subst_derivation      the substitution lemma, derivation to derivation
   subject_reduce        transports a derivation along beta/eta steps
   subject_expand_beta   rebuilds a derivation against the reduction arrow
+
+lower_derivation also takes the ax' and interI' macros as they are.  Both
+transports take each step through one walker, _rewrite, which rebuilds the
+omega, interI, sub and exp nodes and the congruences along the step's path
+alike in either direction; only the action at the redex differs.  A beta
+contraction asks _abs_premise for the abstraction's premise at the one arrow
+component the application uses; an expansion un-substitutes the contractum.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from .types import (
 from .envs import (
     Env,
     env_bind,
-    env_enlarge,
     env_inter,
     env_lower,
     env_omega,
@@ -67,6 +73,7 @@ from .derivations import (
     ExpRule,
     InterI,
     MacroAx,
+    MacroInterI,
     OmegaRule,
     SubRule,
     elaborate,
@@ -91,10 +98,6 @@ def rename_free_in_deriv(d: Derivation, old: VarKey, new: str) -> Derivation:
         case Ax(name, comp):
             if VarKey(name, ()) == old:
                 return Ax(new, comp)
-            return d
-        case MacroAx(name, typ):
-            if VarKey(name, typ.prefix) == old:
-                return MacroAx(new, typ)
             return d
         case OmegaRule(subject):
             if subject._fv.get(old.name) != old.idx:
@@ -179,6 +182,8 @@ def _lower1(d: Derivation, j: int) -> Derivation:
             return SubRule(_lower1(premise, j), env_lower(env, (j,)), lower_type(typ, (j,)))
         case MacroAx(name, typ):
             return MacroAx(name, lower_type(typ, (j,)))
+        case MacroInterI(left, right):
+            return MacroInterI(_lower1(left, j), _lower1(right, j))
         case Ax() | ArrI() | ArrIW() | ArrE():
             raise PreconditionError("conclusion is at degree [], cannot lower")
     raise AssertionError(d)
@@ -280,71 +285,32 @@ def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: set[str]) -> Deri
 # ---------------------------------------------------------------- inversion
 
 
-def generation_abs(d: Derivation) -> tuple[Index, dict]:
-    """Derivation-level generation for an abstraction subject.
+def _abs_premise(d: Derivation, comp: CArrow) -> tuple[bool, Derivation]:
+    """Derivation-level generation for one component of an abstraction.
 
-    For d :: lam x^L.M : <G |- U> with U nonempty, returns (K, entries) where
-    K is the degree of U and entries maps each component e_K(V -> T) of U to
-    (V, T, binds, premise) with
+    For d :: lam x^L.M : <G |- U> at degree [] and a component comp = V -> T
+    of U, returns (binds, premise) with
 
-        premise :: M : <G, x^L : e_K V |- e_K {T}>     if binds
-        premise :: M : <G |- e_K {T}>                  otherwise
+        premise :: M : <G, x^L : V |- {T}>     if binds
+        premise :: M : <G |- {T}>              otherwise
     """
     match d:
-        case ArrI(var, idx, ann, premise):
-            jp = premise.judgment
-            t = jp.typ.comps[0]
-            return (), {CArrow(ann, t): (ann, t, True, premise)}
-        case ArrIW(var, idx, premise):
-            jp = premise.judgment
-            t = jp.typ.comps[0]
-            w = omega(idx)
-            return (), {CArrow(w, t): (w, t, False, premise)}
+        case ArrI(_, _, _, premise):
+            return True, premise
+        case ArrIW(_, _, premise):
+            return False, premise
         case InterI(left, right):
-            kl, el = generation_abs(left)
-            kr, er = generation_abs(right)
-            assert kl == kr
-            merged = dict(el)
-            for comp, entry in er.items():
-                merged.setdefault(comp, entry)
-            return kl, merged
-        case ExpRule(head, premise):
-            k0, entries = generation_abs(premise)
-            return (head,) + k0, {
-                comp: (v, t, binds, ExpRule(head, p))
-                for comp, (v, t, binds, p) in entries.items()
-            }
-        case SubRule(premise, env, typ):
-            jp = premise.judgment
-            k = typ.prefix
-            k0, entries = generation_abs(premise)
-            assert k0 == k
-            out = {}
-            for comp in typ.comps:
-                witness = next(
-                    c for c in jp.typ.comps if comp_leq(c, comp)
-                )
-                v0, t0, binds, p0 = entries[witness]
-                v, t = comp.arg, comp.res
-                res_t = CT(k, (t,))
-                if binds:
-                    key = _binder_key(d)
-                    p = sub_to(p0, env_bind(env, key, CT(k + v.prefix, v.comps)), res_t)
-                else:
-                    p = sub_to(p0, env, res_t)
-                out[comp] = (v, t, binds, p)
-            return k, out
-        case OmegaRule():
-            j = d.judgment
-            return j.typ.prefix, {}
+            side = left if comp in left.judgment.typ.comps else right
+            return _abs_premise(side, comp)
+        case SubRule(premise, env, _):
+            witness = next(c for c in premise.judgment.typ.comps if comp_leq(c, comp))
+            binds, p = _abs_premise(premise, witness)
+            res_t = CT((), (comp.res,))
+            if binds:
+                m = d.judgment.subject
+                return True, sub_to(p, env_bind(env, VarKey(m.var, m.idx), comp.arg), res_t)
+            return False, sub_to(p, env, res_t)
     raise AssertionError(f"not an abstraction derivation root: {type(d).__name__}")
-
-
-def _binder_key(d: Derivation) -> VarKey:
-    """The binder VarKey of the abstraction subject of d."""
-    m = d.judgment.subject
-    assert isinstance(m, Abs), m
-    return VarKey(m.var, m.idx)
 
 
 def generation_app_var(d: Derivation, x: VarKey, t_target) -> Derivation:
@@ -374,6 +340,54 @@ def generation_app_var(d: Derivation, x: VarKey, t_target) -> Derivation:
     raise AssertionError(f"unexpected rule at an applied-variable subject: {type(d).__name__}")
 
 
+# ---------------------------------------------------------------- one step
+
+
+def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
+    """Transport d one step, in either direction, to the subject new.
+
+    path leads to the redex (reducing) or to the contractum (expanding);
+    at_redex(d, new) rebuilds the derivation there.  Every rebuilt node keeps
+    its old type, in its old environment on the free variables of new.
+    """
+    match d:
+        case OmegaRule():
+            return OmegaRule(new)
+        case InterI(left, right):
+            return InterI(
+                _rewrite(left, new, path, at_redex), _rewrite(right, new, path, at_redex)
+            )
+        case SubRule(premise, _, typ):
+            return sub_to(_rewrite(premise, new, path, at_redex), _target(d, new), typ)
+        case ExpRule(head, premise):
+            return ExpRule(head, _rewrite(premise, lower(new, head), path, at_redex))
+    if not path:
+        return at_redex(d, new)
+    match d, path[0]:
+        case (ArrI() | ArrIW()), "body":
+            inner = _rewrite(d.premise, new.body, path[1:], at_redex)
+            bound = inner.judgment.env.get(VarKey(d.var, d.idx))
+            if bound is None:  # a reduction erased the binder from the body
+                rebuilt = ArrIW(d.var, d.idx, inner)
+            else:  # bound as before, or brought back at omega by an expansion
+                rebuilt = ArrI(d.var, d.idx, bound, inner)
+        case ArrE(fun, arg), "fun":
+            rebuilt = ArrE(_rewrite(fun, new.fun, path[1:], at_redex), arg)
+        case ArrE(fun, arg), "arg":
+            rebuilt = ArrE(fun, _rewrite(arg, new.arg, path[1:], at_redex))
+        case _:
+            raise AssertionError((d, path))
+    return sub_to(rebuilt, _target(d, new), d.judgment.typ)
+
+
+def _target(d: Derivation, new: Term) -> Env:
+    """d's environment on the free variables of new, at omega where it has
+    no binding: the restriction after a reduction step, the omega-enlargement
+    after an expansion step."""
+    g = d.judgment.env
+    return mk_env((k, g.get(k) or omega(k.idx)) for k in free_vars(new))
+
+
 # ---------------------------------------------------------------- reduction
 
 
@@ -393,7 +407,7 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
             f"{print_term(n)} is not a {r.value}-reduct of {print_term(j.subject)}"
         )
     for kind, path, reduct in trail:
-        d = _transport(d, kind, path, reduct)
+        d = _rewrite(d, reduct, path, _contract_beta if kind == "beta" else _contract_eta)
     return d
 
 
@@ -431,85 +445,23 @@ def _find_reduction(
     return None
 
 
-def _transport(d: Derivation, kind: str, path: Path, reduct: Term) -> Derivation:
-    """One-step subject reduction at a known position."""
-    target_env = env_restrict(d.judgment.env, free_vars(reduct))
-
-    match d:
-        case OmegaRule():
-            return OmegaRule(reduct)
-        case InterI(left, right):
-            return InterI(
-                _transport(left, kind, path, reduct),
-                _transport(right, kind, path, reduct),
-            )
-        case SubRule(premise, env, typ):
-            inner = _transport(premise, kind, path, reduct)
-            return sub_to(inner, target_env, typ)
-        case ExpRule(head, premise):
-            inner = _transport(premise, kind, path, lower(reduct, head))
-            return ExpRule(head, inner)
-        case _:
-            pass
-
-    if path:
-        return _transport_congruence(d, kind, path, reduct, target_env)
-    if kind == "beta":
-        return _transport_beta(d, reduct, target_env)
-    return _transport_eta(d)
-
-
-def _transport_congruence(
-    d: Derivation, kind: str, path: Path, reduct: Term, target_env: Env
-) -> Derivation:
-    typ = d.judgment.typ
-    match d, path[0]:
-        case (ArrI(var, idx, ann, premise), "body"):
-            assert isinstance(reduct, Abs)
-            inner = _transport(premise, kind, path[1:], reduct.body)
-            ji = inner.judgment
-            key = VarKey(var, idx)
-            if key in ji.env:
-                return ArrI(var, idx, ann, inner)
-            # the step erased the binder from the body: reweaken
-            rebuilt = ArrIW(var, idx, inner)
-            return sub_to(rebuilt, target_env, typ)
-        case (ArrIW(var, idx, premise), "body"):
-            assert isinstance(reduct, Abs)
-            inner = _transport(premise, kind, path[1:], reduct.body)
-            rebuilt = ArrIW(var, idx, inner)
-            return sub_to(rebuilt, target_env, typ)
-        case (ArrE(fun, arg), "fun"):
-            assert isinstance(reduct, App)
-            inner = _transport(fun, kind, path[1:], reduct.fun)
-            return sub_to(ArrE(inner, arg), target_env, typ)
-        case (ArrE(fun, arg), "arg"):
-            assert isinstance(reduct, App)
-            inner = _transport(arg, kind, path[1:], reduct.arg)
-            return sub_to(ArrE(fun, inner), target_env, typ)
-    raise AssertionError((d, path))
-
-
-def _transport_beta(d: Derivation, reduct: Term, target_env: Env) -> Derivation:
+def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
     assert isinstance(d, ArrE)
-    j = d.judgment
-    redex = j.subject
-    assert isinstance(redex, App) and isinstance(redex.fun, Abs)
+    redex = d.judgment.subject
     x = VarKey(redex.fun.var, redex.fun.idx)
-    k, entries = generation_abs(d.fun)
-    assert k == ()
-    jf = d.fun.judgment
-    (v, t, binds, prem) = entries[jf.typ.comps[0]]
+    comp = d.fun.judgment.typ.comps[0]
+    binds, prem = _abs_premise(d.fun, comp)
+    target = _target(d, reduct)
     if binds:
         out = subst_derivation(prem, x, d.arg)
     else:
-        out = sub_to(prem, target_env, CT((), (t,)))
+        out = sub_to(prem, target, CT((), (comp.res,)))
     jo = out.judgment
     assert jo.subject == reduct, (print_term(jo.subject), print_term(reduct))
-    return sub_to(out, target_env, jo.typ)
+    return sub_to(out, target, jo.typ)
 
 
-def _transport_eta(d: Derivation) -> Derivation:
+def _contract_eta(d: Derivation, reduct: Term) -> Derivation:
     assert isinstance(d, ArrI), f"eta redex under rule {type(d).__name__}"
     body = d.judgment.subject.body
     assert isinstance(body, App) and isinstance(body.arg, Var)
@@ -537,51 +489,9 @@ def subject_expand_beta(d: Derivation, m: Term, fuel: int = 10000) -> Derivation
             f"{print_term(m)} does not beta-reduce to {print_term(j.subject)}"
         )
     sources = [m] + [reduct for _, _, reduct in trail[:-1]]
-    for src, (kind, path, _) in zip(reversed(sources), reversed(trail)):
-        d = _expand1(d, src, path)
+    for src, (_, path, _) in zip(reversed(sources), reversed(trail)):
+        d = _rewrite(d, src, path, _expand_redex)
     return d
-
-
-def _expand1(d: Derivation, src: Term, path: Path) -> Derivation:
-    """One-step beta expansion: d types the reduct of src at path."""
-    match d:
-        case OmegaRule():
-            return OmegaRule(src)
-        case InterI(left, right):
-            return InterI(_expand1(left, src, path), _expand1(right, src, path))
-        case SubRule(premise, env, typ):
-            inner = _expand1(premise, src, path)
-            return sub_to(inner, env_enlarge(env, free_vars(src)), typ)
-        case ExpRule(head, premise):
-            inner = _expand1(premise, lower(src, head), path)
-            return ExpRule(head, inner)
-        case _:
-            pass
-
-    if not path:
-        return _expand_redex(d, src)
-
-    match d, path[0]:
-        case (ArrI(var, idx, ann, premise), "body"):
-            assert isinstance(src, Abs) and src.var == var and src.idx == idx
-            inner = _expand1(premise, src.body, path[1:])
-            return ArrI(var, idx, ann, inner)
-        case (ArrIW(var, idx, premise), "body"):
-            assert isinstance(src, Abs) and src.var == var and src.idx == idx
-            inner = _expand1(premise, src.body, path[1:])
-            ji = inner.judgment
-            key = VarKey(var, idx)
-            if key in ji.env:
-                # the expansion reintroduced the binder, at omega
-                return ArrI(var, idx, omega(idx), inner)
-            return ArrIW(var, idx, inner)
-        case (ArrE(fun, arg), "fun"):
-            assert isinstance(src, App)
-            return ArrE(_expand1(fun, src.fun, path[1:]), arg)
-        case (ArrE(fun, arg), "arg"):
-            assert isinstance(src, App)
-            return ArrE(fun, _expand1(arg, src.arg, path[1:]))
-    raise AssertionError((d, path))
 
 
 def _expand_redex(d: Derivation, src: Term) -> Derivation:
@@ -597,7 +507,7 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
     residual = fun.idx[len(k):]
 
     if u.is_omega():
-        return sub_to(OmegaRule(src), env_enlarge(j.env, free_vars(src)), u)
+        return sub_to(OmegaRule(src), _target(d, src), u)
 
     if p._fv.get(x.name) == x.idx:
         v, dp, dq = _split(d, x, p, q)

@@ -174,6 +174,25 @@ def test_unknown_suite_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["check-term", "->"], ["subtype", "a"], ["nf", "--fuel", "x", "y[]"]],
+    ids=["no-verb", "dash-literal", "missing-operand", "bad-fuel-flag"],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ikc")
+
+
 def test_check_deriv_rule_violation_is_invalid(capsys):
     code, out, _ = run(capsys, "check-deriv", "(arrE (ax f a) (ax y a))")
     assert code == 1

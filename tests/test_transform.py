@@ -9,6 +9,7 @@ from ikc.derivations import (
     OmegaRule,
     check_derivation,
     parse_derivation,
+    print_derivation,
     var_intro,
 )
 from ikc.envs import Judgment, print_judgment
@@ -47,6 +48,29 @@ def test_lower_derivation_through_sub():
     )
     low = lower_derivation(d, (1,))
     assert pj(low) == "(judg y[] ((y [] (^ a b))) a)"
+
+
+@pytest.mark.parametrize(
+    "text, want, judgment",
+    [
+        (
+            "(interI' (ax' x (e 1 a)) (ax' x (e 1 b)))",
+            "(interI' (ax' x a) (ax' x b))",
+            "(judg x[] ((x [] (^ a b))) (^ a b))",
+        ),
+        (
+            "(sub (interI' (ax' x (e 1 a)) (ax' x (e 1 b))) "
+            "((x [1] (e 1 (^ a b)))) (e 1 a))",
+            "(sub (interI' (ax' x a) (ax' x b)) ((x [] (^ a b))) a)",
+            "(judg x[] ((x [] (^ a b))) a)",
+        ),
+    ],
+    ids=["interI'", "sub-over-interI'"],
+)
+def test_lower_derivation_through_interI_macro(text, want, judgment):
+    low = lower_derivation(parse_derivation(text), (1,))
+    assert print_derivation(low) == want
+    assert pj(low) == judgment
 
 
 def test_lower_derivation_rejects_ground_conclusions():
@@ -128,6 +152,25 @@ def test_subject_reduce_under_expansion():
     assert pj(out) == "(judg y[1] ((y [1] (e 1 a))) (e 1 a))"
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (
+            "(arrI x [] (w []) (arrE (arrIW y [] (ax z b)) (w x[])))",
+            "(arrIW x [] (ax z b))",
+        ),
+        (
+            "(arrI x [] a (arrE (arrIW y [] (ax z b)) (sub (ax x a) ((x [] a)) (w []))))",
+            "(sub (arrIW x [] (ax z b)) ((z [] b)) (-> a b))",
+        ),
+    ],
+    ids=["omega-argument", "sub-argument"],
+)
+def test_subject_reduce_reweakens_an_erased_binder(text, want):
+    out = subject_reduce(parse_derivation(text), parse_term("(lam x [] z[])"), Relation.BETA)
+    assert print_derivation(out) == want
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -174,6 +217,12 @@ def test_subject_expand_lifted():
     src = parse_term("(app (lam x [1] x[1]) y[1])")
     out = subject_expand_beta(d, src)
     assert pj(out) == "(judg (app (lam x [1] x[1]) y[1]) ((y [1] (e 1 a))) (e 1 a))"
+
+
+def test_subject_expand_reintroduces_a_binder_at_omega():
+    d = parse_derivation("(arrIW x [] (ax z b))")
+    out = subject_expand_beta(d, parse_term("(lam x [] (app (lam y [] z[]) x[]))"))
+    assert print_derivation(out) == "(arrI x [] (w []) (arrE (arrIW y [] (ax z b)) (w x[])))"
 
 
 # ---------------------------------------------------------------- cost
