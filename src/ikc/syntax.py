@@ -11,7 +11,13 @@ Joinability: a variable name free in both parts must carry the same Index in
 both.  Within one well-formed term the free-variable map name -> Index is
 therefore functional, and every Index occurring in M (free or binder) extends
 d(M).  Those two facts are load-bearing for lowering and for the environment
-layer, so constructors check them eagerly.
+layer, so constructors check them eagerly, and store each node's degree.
+
+A node's free-variable map (_fv) may be shared with its parts and with other
+nodes: an Abs reuses its body's map when the binder is not free in it, an App
+reuses the map of a side that covers the other, and every closed Abs shares
+one empty map.  So a map is never mutated after construction; free_map gives
+a private, mutable copy.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ class VarKey(NamedTuple):
 # ---------------------------------------------------------------- terms
 
 
+# Each node's _fv is its free-variable map, name -> Index.  A map may belong
+# to many nodes, so none is mutated after its constructor; free_map copies.
+# _NO_FV is the one map of every closed abstraction.
+_NO_FV: dict[str, Index] = {}
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
@@ -63,21 +75,24 @@ class Abs:
     idx: Index
     body: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
+    degree: Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not prefix_leq(self.body.degree, self.idx):
+        body = self.body
+        if not prefix_leq(body.degree, self.idx):
             raise DegreeError(
                 f"binder {self.var}{index_str(self.idx)} does not extend body degree "
-                f"{index_str(self.body.degree)}"
+                f"{index_str(body.degree)}"
             )
-        fv = dict(self.body._fv)
+        fv = body._fv
         if fv.get(self.var) == self.idx:
-            del fv[self.var]
+            if len(fv) == 1:
+                fv = _NO_FV
+            else:
+                fv = dict(fv)
+                del fv[self.var]
         object.__setattr__(self, "_fv", fv)
-
-    @property
-    def degree(self) -> Index:
-        return _degree(self.body)
+        object.__setattr__(self, "degree", body.degree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,35 +100,31 @@ class App:
     fun: "Term"
     arg: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
+    degree: Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not prefix_leq(self.fun.degree, self.arg.degree):
+        fun, arg = self.fun, self.arg
+        if not prefix_leq(fun.degree, arg.degree):
             raise DegreeError(
-                f"application degree {index_str(self.fun.degree)} does not prefix "
-                f"argument degree {index_str(self.arg.degree)}"
+                f"application degree {index_str(fun.degree)} does not prefix "
+                f"argument degree {index_str(arg.degree)}"
             )
-        fv = dict(self.fun._fv)
-        for name, idx in self.arg._fv.items():
-            if fv.setdefault(name, idx) != idx:
+        # reuse the larger map when it covers the smaller; copy only when
+        # the smaller brings a name the larger lacks
+        ffv, afv = fun._fv, arg._fv
+        fv, small = (ffv, afv) if len(ffv) >= len(afv) else (afv, ffv)
+        if not small.items() <= fv.items():
+            if not joinable(fun, arg):
+                name = next(n for n, i in afv.items() if ffv.get(n, i) != i)
                 raise JoinabilityError(
-                    f"{name} free at {index_str(fv[name])} and {index_str(idx)}"
+                    f"{name} free at {index_str(ffv[name])} and {index_str(afv[name])}"
                 )
+            fv = {**ffv, **afv}
         object.__setattr__(self, "_fv", fv)
-
-    @property
-    def degree(self) -> Index:
-        return _degree(self.fun)
+        object.__setattr__(self, "degree", fun.degree)
 
 
 Term = Union[Var, Abs, App]
-
-
-def _degree(t: Term) -> Index:
-    """d(t): the Index of the variable reached through bodies and functions,
-    found without recursion so deep terms can be built."""
-    while t.__class__ is not Var:
-        t = t.body if t.__class__ is Abs else t.fun
-    return t.idx
 
 
 def free_vars(m: Term) -> frozenset[VarKey]:

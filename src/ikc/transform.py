@@ -199,8 +199,11 @@ def subst_derivation(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
     M[x^L := N] : <G /\\ D |- W>.  dn's conclusion type must equal the
     binding of x exactly; coerce with a sub node first if it does not.
     """
-    dm = elaborate(dm)
-    dn = elaborate(dn)
+    return _subst_elaborated(elaborate(dm), x, elaborate(dn))
+
+
+def _subst_elaborated(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
+    """subst_derivation on derivations whose macros are elaborated already."""
     jm = dm.judgment
     jn = dn.judgment
     v = jm.env.get(x)
@@ -453,7 +456,7 @@ def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
     binds, prem = _abs_premise(d.fun, comp)
     target = _target(d, reduct)
     if binds:
-        out = subst_derivation(prem, x, d.arg)
+        out = _subst_elaborated(prem, x, d.arg)
     else:
         out = sub_to(prem, target, CT((), (comp.res,)))
     jo = out.judgment

@@ -1,6 +1,6 @@
 import pytest
 
-from ikc import derivations
+from ikc import derivations, transform
 from ikc.derivations import (
     ArrE,
     ArrI,
@@ -12,9 +12,10 @@ from ikc.derivations import (
     print_derivation,
     var_intro,
 )
-from ikc.envs import Judgment, print_judgment
+from ikc.envs import Judgment, env_empty, print_judgment
 from ikc.errors import NotAnExpansionError, NotAReductError, PreconditionError
 from ikc.reduction import Relation
+from ikc.search import Found, bounded_typecheck
 from ikc.syntax import VarKey, parse_term
 from ikc.transform import (
     lower_derivation,
@@ -256,3 +257,27 @@ def test_transport_checks_each_new_node_once(monkeypatch):
     small = _conclusions_to_reduce_under(32, monkeypatch)
     big = _conclusions_to_reduce_under(64, monkeypatch)
     assert 0 < big <= 2.2 * small
+
+
+def test_transports_elaborate_once(monkeypatch):
+    # the beta contraction substitutes into trees elaborated at entry, so
+    # elaborate runs once per transport, not once more per binding beta
+    m = parse_term("(app (lam x [] (app x[] x[])) (lam y [] y[]))")
+    found = bounded_typecheck(m, env_empty(), pt("(-> a a)"))
+    assert isinstance(found, Found)
+    calls = []
+    elaborate = transform.elaborate
+
+    def counting(d):
+        calls.append(d)
+        return elaborate(d)
+
+    monkeypatch.setattr(transform, "elaborate", counting)
+    reduced = subject_reduce(
+        found.derivation, parse_term("(app (lam y [] y[]) (lam y [] y[]))"), Relation.BETA
+    )
+    assert len(calls) == 1
+    calls.clear()
+    expanded = subject_expand_beta(reduced, m)
+    assert len(calls) == 1
+    assert check_derivation(expanded) == found.derivation.judgment
