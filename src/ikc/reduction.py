@@ -13,7 +13,8 @@ term, so a violation would surface as a loud formation error.
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
-first_step takes the leftmost-outermost step without building the others.
+first_step takes the leftmost-outermost step without building the others;
+LeftmostBeta walks the leftmost beta path for the oracles and the search.
 """
 
 from __future__ import annotations
@@ -179,6 +180,31 @@ def normalize(m: Term, r: Relation, fuel: int) -> ReductionOutcome:
     if first_step(m, r) is None:
         return NormalForm(m, steps)
     return FuelExhausted(m, steps)
+
+
+class LeftmostBeta:
+    """The leftmost beta path from a term: iterating takes one step per item
+    and yields (source, path to the redex), leaving the reduct in .term.  It
+    ends at a normal form (in .term), or at a reduct whose alpha class came
+    before (in .revisited), which proves there is no normal form since
+    leftmost reduction is normalising.  Callers own the budget."""
+
+    __slots__ = ("term", "revisited")
+
+    def __init__(self, m: Term):
+        self.term = m
+        self.revisited: Term | None = None
+
+    def __iter__(self) -> Iterator[tuple[Term, Path]]:
+        seen, key = set(), None  # a normal form is never keyed
+        while (hit := first_step(self.term, Relation.BETA)) is not None:
+            seen.add(key or alpha_key(self.term))
+            source, self.term = self.term, hit[2]
+            key = alpha_key(self.term)
+            if key in seen:
+                self.revisited = self.term
+                return
+            yield source, hit[1]
 
 
 # ---------------------------------------------------------------- equivalence

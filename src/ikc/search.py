@@ -1,20 +1,38 @@
-"""Bounded derivation search.
+"""Bounded derivation search on the beta normal form.
 
 bounded_typecheck answers "is there a derivation of m : <g |- u>?" with one
 of three outcomes:
 
   Found(d)        a derivation whose judgment is the goal
-  Refuted(why)    no derivation exists; the refutation is forced by the
-                  generation analysis of the subject (or by the judgment
-                  metadata invariants), not by search exhaustion
-  Unknown(why)    the search ran out of fuel or of candidate argument types
+  Refuted(why)    no derivation exists; the refutation comes from exhaustive
+                  inversion of m's beta normal form, or from the judgment
+                  metadata prechecks
+  Unknown(why)    m has no beta normal form (its leftmost path revisits a
+                  term), or fuel ran out first
 
-Variables and abstractions are fully inverted, so refutations coming out of
-them are definite.  Applications need a type for the argument; those are
-drawn from a finite candidate family (subterm types of the goal and the
-environment, their expansions to the argument degree, self arrows, and one
-round of binary intersections), so a failed application search is only ever
-Unknown.  Fuel counts visited goals.
+An omega goal is Found at once.  Otherwise the search follows the leftmost
+beta path of m to its normal form n and searches n : <g on fv(n) |- u>.  A
+Found is carried back along the recorded steps (transform.expand_along) and
+weakened to g.  A Refuted lifts to m by subject reduction: subject_reduce
+would carry any derivation of m to one of n.  A goal at degree K != [] is
+lowered by K and rebuilt by exp; at degree [] every goal on a normal form is
+decided by exhaustive inversion:
+
+  lam x^L.P  invert_abs forces the premise of every component of u.
+  y N1..Nk   (k >= 0) a derivation at a component t types y at some
+             A1->...->Ak->r with r <= t and Ni : Ai.  comp_leq has no
+             distributivity rule, so g(y) <= that arrow through one
+             component c of g(y) alone, contravariantly: c = A1'->...->Ak'->r'
+             with Ai <= Ai' and r' <= r, and Ni : Ai' follows by subsumption.
+             Trying each c with each Ni at c's own Ai' is therefore
+             exhaustive; for k = 0 it decides g(y) <= u.
+  (lam x^L.P) N1..Nk  the head needs an arrow whose argument has degree
+             d(N1), and invert_abs forces degree L, which differs from d(N1)
+             in a normal form: only omega types this stuck head.
+
+Fuel is the one budget: a visited goal costs 1 and a leftmost step costs
+the size of its reduct, so work stays proportional to the fuel even on a
+term that grows along its leftmost path.
 """
 
 from __future__ import annotations
@@ -27,24 +45,22 @@ from .syntax import (
     Abs,
     App,
     Term,
-    Var,
     VarKey,
     free_vars,
     index_str,
     lower_seq,
     print_term,
+    term_size,
 )
 from .types import (
+    CanonT,
     CanonType,
     CanonType as CT,
     CArrow,
-    expand_seq,
-    inter,
+    comp_leq,
     lower_type,
-    omega,
+    print_comp,
     print_type,
-    subtype,
-    type_key,
 )
 from .envs import (
     Env,
@@ -58,17 +74,17 @@ from .derivations import (
     ArrE,
     ArrI,
     ArrIW,
+    Ax,
     Derivation,
     ExpRule,
     InterI,
     OmegaRule,
-    OmegaShape,
     ShapeRefutation,
     invert_abs,
     sub_to,
-    var_intro,
 )
-from .transform import lower_derivation
+from .reduction import LeftmostBeta
+from .transform import expand_along
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,15 +140,14 @@ class Unknown(_Reasoned):
 
 Outcome = Found | Refuted | Unknown
 
-# the one Unknown of a search that ran out of fuel; _app_goal tells it apart
-# from candidate exhaustion by identity
+# the one Unknown of a search that ran out of fuel
 _FUEL_OUT = Unknown("fuel exhausted")
 
 
 def bounded_typecheck(
     m: Term, g: Env, u: CanonType, fuel: int = 100000
 ) -> Outcome:
-    """Search for a derivation of m : <g |- u> within fuel goals."""
+    """Search for a derivation of m : <g |- u> within fuel (module docstring)."""
     if frozenset(g.domain()) != free_vars(m):
         return Refuted(
             lambda: f"environment domain {print_env(g)} does not bind exactly"
@@ -145,8 +160,7 @@ def bounded_typecheck(
             lambda: f"goal degree {index_str(u.degree)} differs from subject"
             f" degree {index_str(m.degree)}"
         )
-    searcher = _Searcher(fuel)
-    out = searcher.goal(m, g, u)
+    out = _Searcher(fuel).solve(m, g, u)
     if isinstance(out, Found):
         j = out.derivation.judgment
         assert j == Judgment(m, g, u), j
@@ -160,6 +174,28 @@ class _Searcher:
     def __init__(self, fuel: int):
         self.fuel = fuel
         self.memo: dict[tuple[Term, Env, CanonType], Outcome] = {}
+
+    def solve(self, m: Term, g: Env, u: CanonType) -> Outcome:
+        """m : <g |- u> through the beta normal form of m."""
+        if u.is_omega():
+            return Found(sub_to(OmegaRule(m), g, u))
+        walk = LeftmostBeta(m)
+        trail = []
+        for step in walk:
+            trail.append(step)
+            self.fuel -= term_size(walk.term)
+            if self.fuel < 0:
+                return _FUEL_OUT
+        if walk.revisited is not None:
+            return Unknown(
+                lambda: "no beta normal form: the leftmost path revisits"
+                f" {print_term(walk.revisited)}"
+            )
+        nf = walk.term
+        out = self.goal(nf, env_restrict(g, free_vars(nf)), u)
+        if not isinstance(out, Found):
+            return out
+        return Found(sub_to(expand_along(out.derivation, trail), g, u))
 
     def goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
         key = (m, g, u)
@@ -178,30 +214,26 @@ class _Searcher:
         #  M : <x1:w^L1 ... xn:w^Ln |- w^deg(M)>
         if u.is_omega():
             return Found(sub_to(OmegaRule(m), g, u))
+        k = u.degree
+        if k:
+            # type the subject lowered to degree [] and factor through (e)
+            low = self.goal(lower_seq(m, k), env_lower(g, k), lower_type(u, k))
+            match low:
+                case Found(d):
+                    for j in reversed(k):
+                        d = ExpRule(j, d)
+                    return Found(d)
+            return low
 
-        match m:
-            case Var(name, _):
-                v = g.get(VarKey(name, m.idx))
-                if subtype(v, u):
-                    return Found(sub_to(var_intro(name, v), g, u))
-                return Refuted(
-                    lambda: f"variable binding {print_type(v)} is not a subtype"
-                    f" of {print_type(u)}"
-                )
-            case Abs():
-                return self._abs_goal(m, g, u)
-            case App():
-                return self._app_goal(m, g, u)
-        raise AssertionError(m)
+        if isinstance(m, Abs):
+            return self._abs_goal(m, g, u)
+        return self._spine_goal(m, g, u)
 
     def _abs_goal(self, m: Abs, g: Env, u: CanonType) -> Outcome:
         inv = invert_abs(Judgment(m, g, u))
         if isinstance(inv, ShapeRefutation):
             return Refuted(inv.reason)
-        assert not isinstance(inv, OmegaShape)
-        k = inv.prefix
-        residual = m.idx[len(k):]
-        premises = []
+        pieces = []
         for arg, res, binds, premise in inv.entries:
             sub = self.goal(premise.subject, premise.env, premise.typ)
             match sub:
@@ -212,106 +244,58 @@ class _Searcher:
                     )
                 case Unknown():
                     return sub
-            premises.append((arg, res, binds, sub.derivation))
-
-        g_low = env_lower(g, k)
-        pieces = []
-        for arg, res, binds, dp in premises:
-            dp_low = lower_derivation(dp, k)
-            target = CT((), (res,))
             if binds:
-                body = sub_to(dp_low, dp_low.judgment.env, target)
-                pieces.append(ArrI(m.var, residual, arg, body))
+                pieces.append(ArrI(m.var, m.idx, arg, sub.derivation))
             else:
-                body = sub_to(dp_low, g_low, target)
-                weak = ArrIW(m.var, residual, body)
-                pieces.append(sub_to(weak, g_low, CT((), (CArrow(arg, res),))))
-        out = reduce(InterI, pieces)
-        for j in reversed(k):
-            out = ExpRule(j, out)
-        return Found(out)
+                weak = ArrIW(m.var, m.idx, sub.derivation)
+                pieces.append(sub_to(weak, g, CT((), (CArrow(arg, res),))))
+        return Found(reduce(InterI, pieces))
 
-    def _app_goal(self, m: App, g: Env, u: CanonType) -> Outcome:
-        k = u.degree
-        if k:
-            # applications are typed at degree []; factor through (e)
-            low = self.goal(lower_seq(m, k), env_lower(g, k), lower_type(u, k))
-            match low:
-                case Found(d):
-                    for j in reversed(k):
-                        d = ExpRule(j, d)
-                    return Found(d)
-            return low
-
-        f, arg = m.fun, m.arg
-        gf = env_restrict(g, free_vars(f))
-        ga = env_restrict(g, free_vars(arg))
-        candidates = _argument_candidates(arg.degree, g, u)
+    def _spine_goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
+        args, head = [], m
+        while isinstance(head, App):
+            args.append(head.arg)
+            head = head.fun
+        args.reverse()
+        if isinstance(head, Abs):
+            return Refuted(
+                lambda: f"stuck head {print_term(head)} takes no argument of"
+                f" degree {index_str(args[0].degree)}"
+            )
+        v = g.get(VarKey(head.name, head.idx))
+        arg_envs = [env_restrict(g, free_vars(n)) for n in args]
         pieces = []
         for t in u.comps:
-            target = CT((), (t,))
-            piece = None
-            saw_fuel_out = False
-            for w in candidates:
-                df = self.goal(f, gf, CT((), (CArrow(w, t),)))
-                if df is _FUEL_OUT:
-                    saw_fuel_out = True
-                if not isinstance(df, Found):
+            for c in v.comps:
+                shape = _unfold(c, args)
+                if shape is None or not comp_leq(shape[1], t):
                     continue
-                da = self.goal(arg, ga, w)
-                if da is _FUEL_OUT:
-                    saw_fuel_out = True
-                if not isinstance(da, Found):
-                    continue
-                piece = ArrE(df.derivation, da.derivation)
-                break
-            if piece is None:
-                if saw_fuel_out:
-                    return _FUEL_OUT
-                return Unknown(
-                    lambda: f"no candidate argument type derives {print_term(m)}"
-                    f" : {print_type(target)}"
+                d = Ax(head.name, c)
+                for n, gn, a in zip(args, arg_envs, shape[0]):
+                    dn = self.goal(n, gn, a)
+                    if not isinstance(dn, Found):
+                        break
+                    d = ArrE(d, dn.derivation)
+                else:
+                    pieces.append(sub_to(d, g, CT((), (t,))))
+                    break
+                if isinstance(dn, Unknown):
+                    return dn
+            else:
+                return Refuted(
+                    lambda: f"variable binding {print_type(v)} is not a subtype of"
+                    f" {print_comp(t)}"
+                    + (f" through the arguments of {print_term(m)}" if args else "")
                 )
-            pieces.append(piece)
         return Found(reduce(InterI, pieces))
 
 
-# --------------------------------------------------------- candidate universe
-
-
-def _argument_candidates(degree, g: Env, u: CanonType) -> list[CanonType]:
-    """Finite family of types to try for an application argument.
-
-    Subterm types of the goal and of the environment bindings, expanded to
-    the argument degree where they sit at degree []; the omega of that
-    degree; self arrows over single-component members; and one round of
-    binary intersections.
-    """
-    pool: set[CanonType] = set()
-    _subterm_types(u, pool)
-    for _, typ in g:
-        _subterm_types(typ, pool)
-    for t in list(pool):
-        if t.prefix == () and len(t.comps) == 1:
-            pool.add(CT((), (CArrow(t, t.comps[0]),)))
-
-    at_degree = {t for t in pool if t.prefix == degree}
-    at_degree |= {expand_seq(degree, t) for t in pool if t.prefix == ()}
-    at_degree.add(omega(degree))
-    closed = set(at_degree)
-    members = sorted(at_degree, key=type_key)
-    for i, t1 in enumerate(members):
-        for t2 in members[i + 1:]:
-            closed.add(inter(t1, t2))
-    return sorted(closed, key=type_key)
-
-
-def _subterm_types(u: CanonType, acc: set[CanonType]) -> None:
-    if u in acc:
-        return
-    acc.add(u)
-    for comp in u.comps:
-        acc.add(CT(u.prefix, (comp,)))
-        if isinstance(comp, CArrow):
-            _subterm_types(comp.arg, acc)
-            _subterm_types(CT((), (comp.res,)), acc)
+def _unfold(c: CanonT, args: list[Term]) -> tuple[list[CanonType], CanonT] | None:
+    """([A1..Ak], r) for c = A1->...->Ak->r with d(Ai) = d(Ni), else None."""
+    params = []
+    for n in args:
+        if not (isinstance(c, CArrow) and c.arg.degree == n.degree):
+            return None
+        params.append(c.arg)
+        c = c.res
+    return params, c

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envs import env_empty
-from .reduction import Relation, first_step, step_positions
+from .reduction import LeftmostBeta, Relation, step_positions
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
     Abs,
@@ -61,22 +61,17 @@ class OracleVerdict:
 
 
 def leftmost_beta_nf(m: Term, fuel: int) -> tuple[Term | None, bool]:
-    """Run leftmost beta steps to a normal form.
+    """Run leftmost beta steps to a normal form; fuel counts steps.
 
     Returns (nf, False) on success, (None, True) when the leftmost path
     revisits an alpha class (no normal form exists), and (None, False)
     when fuel runs out first.
     """
-    seen = {alpha_key(m)}
+    walk = LeftmostBeta(m)
+    steps = iter(walk)
     for _ in range(fuel):
-        hit = first_step(m, Relation.BETA)
-        if hit is None:
-            return m, False
-        m = hit[2]
-        key = alpha_key(m)
-        if key in seen:
-            return None, True
-        seen.add(key)
+        if next(steps, None) is None:
+            return (None, True) if walk.revisited is not None else (walk.term, False)
     return None, False
 
 
@@ -186,27 +181,15 @@ class CompletenessReport:
 
 
 def completeness_sample(
-    tag: str,
-    size_bound: int,
-    fuel: int = 100000,
-    pool: list[Term] | None = None,
+    tag: str, size_bound: int, fuel: int = 100000
 ) -> CompletenessReport:
-    """Typecheck every oracle member: refutations are hard violations.
+    """Typecheck every oracle member of enumerate_closed(size_bound) at the
+    tag's degree: refutations are hard violations."""
+    from .gen import enumerate_closed
 
-    The sample is enumerate_closed(size_bound) at the tag's degree; a caller
-    that has already enumerated closed terms passes them as pool, and its
-    terms of the tag's degree are the sample instead.
-    """
-    degree = EXAMPLE_TYPES[tag].degree
-    if pool is None:
-        from .gen import enumerate_closed
-
-        pool = enumerate_closed(size_bound, degree=degree)
     typ = EXAMPLE_TYPES[tag]
     report = CompletenessReport(tag)
-    for m in pool:
-        if m.degree != degree:
-            continue
+    for m in enumerate_closed(size_bound, degree=typ.degree):
         v = oracle_membership(tag, m)
         if not v.member:
             continue

@@ -13,6 +13,7 @@ alpha-equivalent.
   subst_derivation      the substitution lemma, derivation to derivation
   subject_reduce        transports a derivation along beta/eta steps
   subject_expand_beta   rebuilds a derivation against the reduction arrow
+  expand_along          the same, along a given trail of beta steps
 
 lower_derivation also takes the ax' and interI' macros as they are.  Both
 transports take each step through one walker, _rewrite, which rebuilds the
@@ -492,7 +493,13 @@ def subject_expand_beta(d: Derivation, m: Term, fuel: int = 10000) -> Derivation
             f"{print_term(m)} does not beta-reduce to {print_term(j.subject)}"
         )
     sources = [m] + [reduct for _, _, reduct in trail[:-1]]
-    for src, (_, path, _) in zip(reversed(sources), reversed(trail)):
+    return expand_along(d, [(src, path) for src, (_, path, _) in zip(sources, trail)])
+
+
+def expand_along(d: Derivation, trail: list[tuple[Term, Path]]) -> Derivation:
+    """subject_expand_beta along trail, the (source, path to the redex) of
+    each beta step from the wanted term to d's (elaborated) subject."""
+    for src, path in reversed(trail):
         d = _rewrite(d, src, path, _expand_redex)
     return d
 

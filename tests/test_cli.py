@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -151,6 +152,29 @@ def test_refuted_typecheck_exits_one(capsys):
     )
     assert code == 1
     assert out.startswith("RefutedByGeneration\t")
+
+
+@pytest.mark.parametrize(
+    "term, reason",
+    [
+        (
+            "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))",
+            "no beta normal form: the leftmost path revisits",
+        ),
+        (
+            "(app (lam x [] (app (app x[] x[]) x[]))"
+            " (lam x [] (app (app x[] x[]) x[])))",
+            "fuel exhausted",
+        ),
+    ],
+    ids=["cycle", "fuel"],
+)
+def test_unknown_typecheck_prints_its_reason(capsys, term, reason):
+    start = time.process_time()
+    code, out, _ = run(capsys, "typecheck", term, "--type", "(-> a a)")
+    assert time.process_time() - start < 1.0
+    assert code == 1
+    assert out.startswith(f"Unknown\t{reason}") and out.count("\n") == 1, out
 
 
 def test_garbage_term_exits_two(capsys):

@@ -1,6 +1,7 @@
 import copy
 import pathlib
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -118,15 +119,33 @@ def test_fuel_exhaustion_is_unknown():
     assert "fuel" in out.reason
 
 
+OMEGA = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
+GROWER = (
+    "(app (lam x [] (app (app x[] x[]) x[]))"
+    " (lam x [] (app (app x[] x[]) x[])))"
+)
+
+
+def test_unknown_names_why():
+    # the leftmost path of omega comes back to omega; that of the grower
+    # gains a copy of its argument per step, and each step costs the
+    # reduct's size, so the default fuel runs out within a few hundred steps
+    out = bounded_typecheck(parse_term(OMEGA), env_empty(), parse_type("(-> a a)"))
+    assert out == Unknown(f"no beta normal form: the leftmost path revisits {OMEGA}")
+    start = time.process_time()
+    out = bounded_typecheck(parse_term(GROWER), env_empty(), parse_type("(-> a a)"))
+    assert out == Unknown("fuel exhausted")
+    assert time.process_time() - start < 1.0
+
+
 def test_unfound_application_goal_is_not_refuted():
-    # application head candidates are drawn from a finite pool, so a
-    # miss is inconclusive rather than a refutation
-    out = bounded_typecheck(
-        parse_term("(app (lam x [] (lam y [] y[])) (lam z [] (app z[] z[])))"),
-        env_empty(),
-        parse_type("(-> b b)"),
+    # the subject normalises to lam y.y, which is found and carried back
+    # across the erasing redex
+    found_at(
+        "(app (lam x [] (lam y [] y[])) (lam z [] (app z[] z[])))",
+        "()",
+        "(-> b b)",
     )
-    assert isinstance(out, (Found, Unknown))
 
 
 # ---------------------------------------------------------------- stored pair
@@ -145,9 +164,8 @@ def test_stored_example_derivation():
 
 def test_uniform_inner_degree_variant_is_not_found():
     # same shape but with the inner applicand bound at the full
-    # four-entry index: the applications no longer line up, and the
-    # search cannot certify it (nor refute it: candidate pools for
-    # application nodes are incomplete)
+    # four-entry index: the applications no longer line up, and inverting
+    # the normal form refutes it
     m = parse_term(
         "(lam x [3 2] (lam y [3] (app y[3] (app x[3 2]"
         " (lam u [3 2 1 0] (lam v [3 2 1 0] (app u[3 2 1 0]"
@@ -155,8 +173,7 @@ def test_uniform_inner_degree_variant_is_not_found():
     )
     u = parse_type((CORPUS / "example3.typ").read_text())
     out = bounded_typecheck(m, env_empty(), u, fuel=20000)
-    assert not isinstance(out, Found)
-    assert isinstance(out, Unknown)
+    assert isinstance(out, Refuted), out
 
 
 # ---------------------------------------------------------------- reasons

@@ -1,9 +1,7 @@
-import gc
-import statistics
-import time
-
 import pytest
 from hypothesis import given, strategies as st
+
+from linear_time import assert_linear_build
 
 from ikc.errors import DegreeError, InputSyntaxError, JoinabilityError
 from ikc.gen import enumerate_terms, random_term
@@ -137,22 +135,6 @@ def test_enumerated_terms_share_maps():
     assert len(maps) * 4 <= len(nodes), (len(maps), len(nodes))
 
 
-def _chain_build_time(make, depth: int, builds: int) -> float:
-    """Process time of building a term depth levels deep, builds times over."""
-    gc.disable()  # the cyclic collector's passes are not the cost under test
-    try:
-        start = time.process_time()
-        for _ in range(builds):
-            m = Var("v1", ())
-            for i in range(depth):
-                m = make(i, m)
-            assert m.degree == ()
-            del m
-        return time.process_time() - start
-    finally:
-        gc.enable()
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -164,18 +146,14 @@ def _chain_build_time(make, depth: int, builds: int) -> float:
 def test_deep_terms_build_in_linear_time(make):
     # each node stores its degree and shares its part's free-variable map,
     # so building costs O(1) per level; walking to the head for the degree
-    # would be O(n^2).  Every sample does the same number of levels, in five
-    # rounds that alternate the sizes.  The median, not the best, of each
-    # size is compared: on a shared 2-core machine single samples run up to
-    # twice as fast in bursts, and one such burst decides a best-of-five
-    samples = {2000: [], 4000: [], 8000: []}
-    for _ in range(5):
-        for n in samples:
-            builds = 16_000 // n
-            samples[n].append(_chain_build_time(make, n, builds) / builds)
-    mid = {n: statistics.median(times) for n, times in samples.items()}
-    assert mid[4000] <= 2.5 * mid[2000], samples
-    assert mid[8000] <= 2.5 * mid[4000], samples
+    # would be O(n^2)
+    def build(depth):
+        m = Var("v1", ())
+        for i in range(depth):
+            m = make(i, m)
+        assert m.degree == ()
+
+    assert_linear_build(build, [2000, 4000, 8000], 16_000)
 
 
 # ---------------------------------------------------------------- parse/print

@@ -1,12 +1,12 @@
 import copy
-import gc
 import pickle
 import random
-import time
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from linear_time import assert_linear_build
 
 from ikc.errors import InputSyntaxError, ShapeError
 from ikc.gen import enumerate_canon_types, random_canon_type
@@ -238,35 +238,19 @@ def test_interned_nodes_match_print_and_stay_frozen():
     assert u.prefix == (2,)
 
 
-def _build_right_nested(depth: int, builds: int) -> float:
-    """Process time of building a right-nested arrow type depth deep,
-    builds times over, each freed before the next is interned afresh."""
-    gc.disable()  # the cyclic collector's passes are not the cost under test
-    try:
-        start = time.process_time()
-        for _ in range(builds):
-            u = atom("a")
-            for _ in range(depth):
-                u = arrow(atom("b"), u)
-            assert type_key(u)[1][0][0] == 1 and hash(u) == hash(u)
-            del u
-        return time.process_time() - start
-    finally:
-        gc.enable()
+def _build_right_nested(depth: int) -> None:
+    """Build a right-nested arrow type depth deep; it is freed on return,
+    so the next build interns it afresh."""
+    u = atom("a")
+    for _ in range(depth):
+        u = arrow(atom("b"), u)
+    assert type_key(u)[1][0][0] == 1 and hash(u) == hash(u)
 
 
 def test_deep_type_builds_in_linear_time():
     # each node's hash and sort key come from its children's stored ones,
-    # so building costs O(1) per level; recomputing either would be O(n^2).
-    # Every sample does the same number of levels, so a burst of machine
-    # speed favours no size; best of nine rounds that alternate the sizes
-    builds = {500: 4, 1000: 2, 2000: 1}
-    best = dict.fromkeys(builds, float("inf"))
-    for _ in range(9):
-        for n, k in builds.items():
-            best[n] = min(best[n], _build_right_nested(n, k) / k)
-    assert best[1000] <= 2.5 * best[500], best
-    assert best[2000] <= 2.5 * best[1000], best
+    # so building costs O(1) per level; recomputing either would be O(n^2)
+    assert_linear_build(_build_right_nested, [500, 1000, 2000], 2000)
     u = atom("a")
     for _ in range(2000):
         u = arrow(atom("b"), u)
