@@ -149,25 +149,8 @@ def _cmd_check_deriv(ns) -> int:
     return 0
 
 
-def _cmd_sr(ns) -> int:
-    try:
-        d = parse_derivation(_load(ns.deriv))
-    except RuleError as e:
-        print(f"failed\t{e}")
-        return 1
-    n = parse_term(_load(ns.term))
-    try:
-        d2 = subject_reduce(d, n, Relation(ns.rel), ns.fuel)
-    except KernelError as e:
-        print(f"failed\t{e}")
-        return 1
-    print(print_judgment(d2.judgment))
-    if ns.out:
-        Path(ns.out).write_text(print_derivation(d2) + "\n")
-    return 0
-
-
-def _cmd_expand(ns) -> int:
+def _cmd_transport(ns) -> int:
+    """sr and expand: carry a certificate to another subject."""
     try:
         d = parse_derivation(_load(ns.deriv))
     except RuleError as e:
@@ -175,7 +158,10 @@ def _cmd_expand(ns) -> int:
         return 1
     m = parse_term(_load(ns.term))
     try:
-        d2 = subject_expand_beta(d, m, ns.fuel)
+        if ns.verb == "sr":
+            d2 = subject_reduce(d, m, Relation(ns.rel), ns.fuel)
+        else:
+            d2 = subject_expand_beta(d, m, ns.fuel)
     except KernelError as e:
         print(f"failed\t{e}")
         return 1
@@ -342,14 +328,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", default="betaeta", choices=[r.value for r in Relation])
     p.add_argument("--fuel", type=int, default=fuel)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_sr)
+    p.set_defaults(handler=_cmd_transport)
 
     p = sub.add_parser("expand")
     p.add_argument("deriv")
     p.add_argument("term")
     p.add_argument("--fuel", type=int, default=fuel)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_expand)
+    p.set_defaults(handler=_cmd_transport)
 
     p = sub.add_parser("typecheck")
     p.add_argument("term")

@@ -1,4 +1,4 @@
-r"""Typing derivations: node grammar, checker, macro elaboration, inversion.
+r"""Typing derivations: node grammar, checker, macro elaboration, I/O.
 
 A derivation file carries only rule tags and the annotations the rules need.
 Constructing a rule node checks that rule against its premises' judgments and
@@ -44,7 +44,6 @@ from .syntax import (
     VarKey,
     index_str,
     lift,
-    prefix_leq,
     print_term,
     term_at,
 )
@@ -53,7 +52,6 @@ from .types import (
     CanonType as CT,
     CanonType,
     CArrow,
-    expand_seq,
     expand_type,
     inter,
     omega,
@@ -66,7 +64,6 @@ from .types import (
 from .envs import (
     Env,
     Judgment,
-    env_bind,
     env_expand,
     env_inter,
     env_joinable,
@@ -343,66 +340,6 @@ def elaborate(d: Derivation) -> Derivation:
     if all(p is q for p, q in zip(parts, new)):
         return d
     return type(d)(*new)
-
-
-# ---------------------------------------------------------------- inversion
-
-
-@dataclass(frozen=True)
-class OmegaShape:
-    idx: Index
-
-
-@dataclass(frozen=True)
-class AbsComponents:
-    prefix: Index
-    entries: list  # (arg: CanonType, res: CanonT, binds: bool, premise: Judgment)
-
-
-@dataclass(frozen=True)
-class ShapeRefutation:
-    reason: str
-
-
-def invert_abs(j: Judgment) -> OmegaShape | AbsComponents | ShapeRefutation:
-    """Generation for abstractions, on judgments.
-
-    For lam x^L.M : <G |- U>, either U is omega, or every component of U is
-    an arrow e_K(V -> T) with d(V) equal to the binder residual, and M must
-    be typable at the forced premise judgment (with the binding x^L : e_K V
-    exactly when x^L is free in M).  A non-arrow component (or a residual
-    degree mismatch) refutes every derivation of the judgment.
-    """
-    m = j.subject
-    assert isinstance(m, Abs), m
-    if j.typ.is_omega():
-        return OmegaShape(j.typ.prefix)
-    k = j.typ.prefix
-    if not prefix_leq(k, m.idx):
-        return ShapeRefutation(
-            f"binder index {index_str(m.idx)} does not extend the type degree {index_str(k)}"
-        )
-    residual = m.idx[len(k):]
-    key = VarKey(m.var, m.idx)
-    binds = m.body._fv.get(m.var) == m.idx
-    entries = []
-    for comp in j.typ.comps:
-        if not isinstance(comp, CArrow):
-            return ShapeRefutation(
-                f"component {print_comp(comp)} of an abstraction type is not an arrow"
-            )
-        if comp.arg.degree != residual:
-            return ShapeRefutation(
-                f"arrow argument degree {index_str(comp.arg.degree)} differs from "
-                f"the binder residual {index_str(residual)}"
-            )
-        res_t = CT(k, (comp.res,))
-        if binds:
-            premise = Judgment(m.body, env_bind(j.env, key, expand_seq(k, comp.arg)), res_t)
-        else:
-            premise = Judgment(m.body, j.env, res_t)
-        entries.append((comp.arg, comp.res, binds, premise))
-    return AbsComponents(k, entries)
 
 
 # ---------------------------------------------------------------- parsing

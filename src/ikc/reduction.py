@@ -14,7 +14,9 @@ step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
 first_step takes the leftmost-outermost step without building the others;
-LeftmostBeta walks the leftmost beta path for the oracles and the search.
+LeftmostBeta walks the leftmost beta path for the oracles and the search;
+reachable is the one depth-bounded reachable-set walk, shared by the
+confluence checker and semantics.saturation_check.
 """
 
 from __future__ import annotations
@@ -283,9 +285,12 @@ class ConfluenceReport:
         return not self.unjoined
 
 
-def _reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dict:
-    """The terms reachable from m within depth steps, by alpha key; key is
-    m's.  cache maps a key to its term's _keyed_steps, for one r only."""
+def reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dict:
+    """The terms reachable from m within depth r-steps, as an alpha key ->
+    term dict in discovery order (breadth-first, each term's reducts in
+    leftmost-outermost order), m first; key is m's.  cache maps a key to its
+    term's _keyed_steps, for one r only; it may start empty, and it is
+    filled as terms are stepped."""
     seen = {key: m}
     front = [(key, m)]
     for _ in range(depth):
@@ -316,7 +321,7 @@ def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport
         return ConfluenceReport(0, [])
     key = alpha_key(m)
     cache = {key: first}
-    space = _reachable(m, key, r, depth, cache)
+    space = reachable(m, key, r, depth, cache)
     # step the outermost terms before any join search can cache an
     # alpha-variant of one of them, so each peak shows the term in space
     for k, t in space.items():
@@ -340,6 +345,6 @@ def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport
 def _joinable(
     t1: Term, k1: tuple, t2: Term, k2: tuple, r: Relation, depth: int, cache: dict
 ) -> bool:
-    a = _reachable(t1, k1, r, depth, cache)
-    b = _reachable(t2, k2, r, depth, cache)
+    a = reachable(t1, k1, r, depth, cache)
+    b = reachable(t2, k2, r, depth, cache)
     return not a.keys().isdisjoint(b.keys())

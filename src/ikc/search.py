@@ -18,7 +18,10 @@ would carry any derivation of m to one of n.  A goal at degree K != [] is
 lowered by K and rebuilt by exp; at degree [] every goal on a normal form is
 decided by exhaustive inversion:
 
-  lam x^L.P  invert_abs forces the premise of every component of u.
+  lam x^L.P  generation: every component of u is an arrow V->T with
+             d(V) = L, and forces P : <g, x^L:V |- T> (x^L bound exactly
+             when it is free in P).  _abs_goal checks every component's
+             shape before it types any premise.
   y N1..Nk   (k >= 0) a derivation at a component t types y at some
              A1->...->Ak->r with r <= t and Ni : Ai.  comp_leq has no
              distributivity rule, so g(y) <= that arrow through one
@@ -27,7 +30,7 @@ decided by exhaustive inversion:
              Trying each c with each Ni at c's own Ai' is therefore
              exhaustive; for k = 0 it decides g(y) <= u.
   (lam x^L.P) N1..Nk  the head needs an arrow whose argument has degree
-             d(N1), and invert_abs forces degree L, which differs from d(N1)
+             d(N1), and generation forces degree L, which differs from d(N1)
              in a normal form: only omega types this stuck head.
 
 Fuel is the one budget: a visited goal costs 1 and a leftmost step costs
@@ -65,6 +68,7 @@ from .types import (
 from .envs import (
     Env,
     Judgment,
+    env_bind,
     env_lower,
     env_ok,
     env_restrict,
@@ -79,8 +83,6 @@ from .derivations import (
     ExpRule,
     InterI,
     OmegaRule,
-    ShapeRefutation,
-    invert_abs,
     sub_to,
 )
 from .reduction import LeftmostBeta
@@ -230,25 +232,36 @@ class _Searcher:
         return self._spine_goal(m, g, u)
 
     def _abs_goal(self, m: Abs, g: Env, u: CanonType) -> Outcome:
-        inv = invert_abs(Judgment(m, g, u))
-        if isinstance(inv, ShapeRefutation):
-            return Refuted(inv.reason)
+        for comp in u.comps:
+            if not isinstance(comp, CArrow):
+                return Refuted(
+                    lambda: f"component {print_comp(comp)} of an abstraction"
+                    " type is not an arrow"
+                )
+            if comp.arg.degree != m.idx:
+                return Refuted(
+                    lambda: f"arrow argument degree {index_str(comp.arg.degree)}"
+                    f" differs from the binder residual {index_str(m.idx)}"
+                )
+        key = VarKey(m.var, m.idx)
+        binds = m.body._fv.get(m.var) == m.idx
         pieces = []
-        for arg, res, binds, premise in inv.entries:
-            sub = self.goal(premise.subject, premise.env, premise.typ)
+        for comp in u.comps:
+            gp = env_bind(g, key, comp.arg) if binds else g
+            sub = self.goal(m.body, gp, CT((), (comp.res,)))
             match sub:
                 case Refuted():
                     return Refuted(
-                        lambda: f"component {print_type(CT((), (CArrow(arg, res),)))}"
+                        lambda: f"component {print_type(CT((), (comp,)))}"
                         f" fails: {sub.reason}"
                     )
                 case Unknown():
                     return sub
             if binds:
-                pieces.append(ArrI(m.var, m.idx, arg, sub.derivation))
+                pieces.append(ArrI(m.var, m.idx, comp.arg, sub.derivation))
             else:
                 weak = ArrIW(m.var, m.idx, sub.derivation)
-                pieces.append(sub_to(weak, g, CT((), (CArrow(arg, res),))))
+                pieces.append(sub_to(weak, g, CT((), (comp,))))
         return Found(reduce(InterI, pieces))
 
     def _spine_goal(self, m: Term, g: Env, u: CanonType) -> Outcome:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envs import env_empty
-from .reduction import LeftmostBeta, Relation, step_positions
+from .reduction import LeftmostBeta, Relation, reachable
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
     Abs,
@@ -222,7 +222,8 @@ def saturation_check(
     """Expansion closure: anything reducing into the set must be in it.
 
     For every ambient term outside the member set, follow every reduction
-    path for up to depth steps; reaching a member is a violation witness.
+    path for up to depth steps; the first member reached (reduction.reachable
+    order) is a violation witness.
     """
     member_keys = {alpha_key(m) for m in members}
     report = SaturationReport()
@@ -231,26 +232,9 @@ def saturation_check(
         key = alpha_key(m)
         if key in member_keys:
             continue
-        frontier = [m]
-        seen = {key}
-        hit = None
-        for _ in range(depth):
-            nxt = []
-            for t in frontier:
-                for _, _, reduct in step_positions(t, r):
-                    key = alpha_key(reduct)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if key in member_keys:
-                        hit = reduct
-                        break
-                    nxt.append(reduct)
-                if hit is not None:
-                    break
-            if hit is not None or not nxt:
-                break
-            frontier = nxt
+        # a fresh cache per term, so no alpha-variant leaks between terms
+        space = reachable(m, key, r, depth, {})
+        hit = next((t for k, t in space.items() if k in member_keys), None)
         if hit is not None:
             report.violations.append((m, hit))
     return report

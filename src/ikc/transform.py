@@ -25,7 +25,7 @@ component the application uses; an expansion un-substitutes the contractum.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 from .errors import NotAnExpansionError, NotAReductError, PreconditionError
 from .syntax import (
@@ -523,23 +523,13 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
         v, dp, dq = _split(d, x, p, q)
         dp_low = lower_derivation(dp, k)
         dq_low = lower_derivation(dq, k)
-        jp_low = dp_low.judgment
-        v_low = lower_type(v, k)
-        pieces = []
-        for t in u.comps:
-            d_t = sub_to(dp_low, jp_low.env, CT((), (t,)))
-            d_abs = ArrI(x.name, residual, v_low, d_t)
-            pieces.append(ArrE(d_abs, dq_low))
+        intro = partial(ArrI, x.name, residual, lower_type(v, k))
     else:
         dp_low = lower_derivation(d, k)
-        jp_low = dp_low.judgment
         dq_low = OmegaRule(lower_seq(q, k))
-        pieces = []
-        for t in u.comps:
-            d_t = sub_to(dp_low, jp_low.env, CT((), (t,)))
-            d_abs = ArrIW(x.name, residual, d_t)
-            pieces.append(ArrE(d_abs, dq_low))
-
+        intro = partial(ArrIW, x.name, residual)
+    env = dp_low.judgment.env
+    pieces = [ArrE(intro(sub_to(dp_low, env, CT((), (t,)))), dq_low) for t in u.comps]
     out = reduce(InterI, pieces)
     for head in reversed(k):
         out = ExpRule(head, out)

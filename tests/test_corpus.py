@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import pathlib
 
 from ikc.derivations import (
@@ -93,3 +94,14 @@ def test_reducible_subject_coverage(corpus):
         if step_positions(j.subject, Relation.BETAETA)
     )
     assert reducible >= 5
+
+
+def test_make_corpus_reproduces_the_corpus():
+    path = CORPUS.parent / "tools" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    built = {name: d for name, d, *_ in tool.build()}
+    assert sorted(built) == sorted(p.stem for p in CORPUS.glob("*.drv"))
+    for name, d in built.items():
+        assert print_derivation(d) + "\n" == (CORPUS / f"{name}.drv").read_text(), name

@@ -2,7 +2,6 @@ import pytest
 
 from ikc import derivations
 from ikc.derivations import (
-    AbsComponents,
     ArrE,
     ArrI,
     ArrIW,
@@ -12,19 +11,16 @@ from ikc.derivations import (
     MacroAx,
     MacroInterI,
     OmegaRule,
-    OmegaShape,
-    ShapeRefutation,
     SubRule,
     check_derivation,
     elaborate,
-    invert_abs,
     meet,
     parse_derivation,
     print_derivation,
     sub_to,
     var_intro,
 )
-from ikc.envs import parse_env, parse_judgment, print_judgment
+from ikc.envs import parse_env, print_judgment
 from ikc.errors import RuleError
 from ikc.syntax import parse_term
 from ikc.types import CAtom, parse_type
@@ -182,25 +178,3 @@ def test_parse_print_round_trip(corpus_files):
 def test_checked_corpus_judgments_are_stable(corpus):
     for name, d, j in corpus:
         assert check_derivation(d) == j
-
-
-# ---------------------------------------------------------------- inversion
-
-
-def test_invert_abs_on_arrow():
-    j = parse_judgment("(judg (lam y [] y[]) () (-> a a))")
-    shape = invert_abs(j)
-    assert isinstance(shape, AbsComponents)
-    assert shape.prefix == ()
-    [(arg, res, binds, premise)] = shape.entries
-    assert arg == pt("a") and res == CAtom("a") and binds
-
-
-def test_invert_abs_omega():
-    j = parse_judgment("(judg (lam y [] y[]) () (w []))")
-    assert isinstance(invert_abs(j), OmegaShape)
-
-
-def test_invert_abs_refutes_atom_component():
-    j = parse_judgment("(judg (lam y [] y[]) () a)")
-    assert isinstance(invert_abs(j), ShapeRefutation)

@@ -105,6 +105,35 @@ def test_wrong_atom_refuted():
     assert isinstance(out, Refuted)
 
 
+def refuted_at(term, env, typ):
+    out = bounded_typecheck(parse_term(term), parse_env(env), parse_type(typ))
+    assert isinstance(out, Refuted), out
+    return out.reason
+
+
+def test_abstraction_at_an_atom_is_refuted():
+    assert (
+        refuted_at("(lam y [] y[])", "()", "a")
+        == "component a of an abstraction type is not an arrow"
+    )
+
+
+def test_abstraction_arrow_argument_must_have_the_binder_degree():
+    assert (
+        refuted_at("(lam y [1] x[])", "((x [] a))", "(-> a a)")
+        == "arrow argument degree [] differs from the binder residual [1]"
+    )
+
+
+def test_abstraction_shapes_are_checked_before_any_premise():
+    # the premise of the first component, y:a |- b, fails too; the shape of
+    # the second component refutes the goal first
+    assert (
+        refuted_at("(lam y [] y[])", "()", "(^ (-> a b) (-> (e 1 a) c))")
+        == "arrow argument degree [1] differs from the binder residual []"
+    )
+
+
 # ---------------------------------------------------------------- unknown
 
 
@@ -146,6 +175,21 @@ def test_unfound_application_goal_is_not_refuted():
         "()",
         "(-> b b)",
     )
+
+
+# ---------------------------------------------------------------- memo
+
+
+def test_memo_shares_repeated_subgoals():
+    # each of the 24 applications of y types its argument once per component
+    # of y's binding, at the same goal: the memo answers the repeats, without
+    # it the goals double per layer
+    m = "x[]"
+    for _ in range(24):
+        m = f"(app y[] {m})"
+    start = time.process_time()
+    found_at(m, "((x [] (^ a b)) (y [] (^ (-> (^ a b) a) (-> (^ a b) b))))", "(^ a b)")
+    assert time.process_time() - start < 1.0
 
 
 # ---------------------------------------------------------------- stored pair
