@@ -10,13 +10,20 @@ Reduction preserves the degree, never grows the free-variable set, and eta
 preserves it exactly; the constructors re-check all of that on every rebuilt
 term, so a violation would surface as a loud formation error.
 
+Step enumeration reads the redex mask each term node stores (see syntax): it
+is one explicit-stack walk that enters only the subtrees containing a redex
+of the requested kind, so no walk recurses in step enumeration, whatever the
+depth of the term, and first_step, step_positions, LeftmostBeta and
+check_local_confluence answer in O(1) on a normal form.
+
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
 first_step takes the leftmost-outermost step without building the others;
 LeftmostBeta walks the leftmost beta path for the oracles and the search;
-reachable is the one depth-bounded reachable-set walk, shared by the
-confluence checker and semantics.saturation_check.
+reachable is the one depth-bounded reachable-set walk, lazy so that a caller
+can stop at its first hit, shared by the confluence checker and
+semantics.saturation_check.
 """
 
 from __future__ import annotations
@@ -26,13 +33,16 @@ from enum import Enum
 from typing import Iterator, Union
 
 from .syntax import (
+    BETA_BIT,
+    ETA_BIT,
     Abs,
     App,
     Term,
-    Var,
     VarKey,
     alpha_eq,
     alpha_key,
+    is_beta_redex,
+    is_eta_redex,
     substitute,
 )
 
@@ -52,71 +62,75 @@ def beta_contract(m: App) -> Term:
     return substitute(f.body, {VarKey(f.var, f.idx): m.arg})
 
 
-def is_beta_redex(m: Term) -> bool:
-    return isinstance(m, App) and isinstance(m.fun, Abs) and m.arg.degree == m.fun.idx
+def _rebuild(above: list[Term], path: list[str] | Path, r: Term) -> Term:
+    """m with r in place of the node that path leads to; above holds the
+    nodes along path, m first."""
+    for t, way in zip(reversed(above), reversed(path)):
+        if way == "body":
+            r = Abs(t.var, t.idx, r)
+        elif way == "fun":
+            r = App(r, t.arg)
+        else:
+            r = App(t.fun, r)
+    return r
 
 
-def is_eta_redex(m: Term) -> bool:
-    if not (isinstance(m, Abs) and isinstance(m.body, App)):
-        return False
-    arg = m.body.arg
-    return (
-        isinstance(arg, Var)
-        and arg.name == m.var
-        and arg.idx == m.idx
-        and m.body.fun._fv.get(m.var) != m.idx
-    )
+def _tagged(m: Term, kinds: int) -> Iterator[tuple[str, Path, Term]]:
+    """The steps of m whose kind bit is in kinds, leftmost-outermost, with
+    positions.
 
-
-def _tagged(
-    m: Term, path: Path, kinds: tuple[str, ...]
-) -> Iterator[tuple[str, Path, Term]]:
-    """The steps of m of the given kinds, leftmost-outermost, with positions.
-
-    Lazy: a reduct is built only when its step is pulled.
+    One explicit-stack preorder walk that enters only the subtrees whose
+    redex mask meets kinds, so a normal form costs O(1) and no depth of m
+    recurses.  Lazy: a reduct is built, by rebuilding its path, only when its
+    step is pulled.
     """
-    match m:
-        case Var():
-            return
-        case Abs(var, idx, body):
-            if "eta" in kinds and is_eta_redex(m):
-                yield "eta", path, m.body.fun
-            for kind, p, r in _tagged(body, path + ("body",), kinds):
-                yield kind, p, Abs(var, idx, r)
-        case App(fun, arg):
-            if "beta" in kinds and is_beta_redex(m):
-                yield "beta", path, beta_contract(m)
-            for kind, p, r in _tagged(fun, path + ("fun",), kinds):
-                yield kind, p, App(r, arg)
-            for kind, p, r in _tagged(arg, path + ("arg",), kinds):
-                yield kind, p, App(fun, r)
+    if not m.redexes & kinds:
+        return
+    above: list[Term] = []  # the ancestors of the node being visited
+    path: list[str] = []  # path[i] leads from above[i] towards that node
+    todo: list[tuple[Term, int, str]] = [(m, 0, "")]
+    while todo:
+        t, depth, way = todo.pop()
+        del above[depth:]
+        if depth:
+            del path[depth - 1 :]
+            path.append(way)
+        if isinstance(t, App):
+            if kinds & BETA_BIT and is_beta_redex(t):
+                yield "beta", tuple(path), _rebuild(above, path, beta_contract(t))
+            above.append(t)
+            if t.arg.redexes & kinds:
+                todo.append((t.arg, depth + 1, "arg"))
+            if t.fun.redexes & kinds:
+                todo.append((t.fun, depth + 1, "fun"))
+        else:  # an Abs: a Var has no redex, so it is never entered
+            if kinds & ETA_BIT and is_eta_redex(t):
+                yield "eta", tuple(path), _rebuild(above, path, t.body.fun)
+            above.append(t)
+            if t.body.redexes & kinds:
+                todo.append((t.body, depth + 1, "body"))
 
 
 _KINDS = {
-    Relation.BETA: ("beta",),
-    Relation.ETA: ("eta",),
-    Relation.BETAETA: ("beta", "eta"),
+    Relation.BETA: BETA_BIT,
+    Relation.ETA: ETA_BIT,
+    Relation.BETAETA: BETA_BIT | ETA_BIT,
 }
 
 
 def _head_position(m: Term) -> tuple[Path, Term] | None:
     """The head beta step of m, if the spine head is a contractible redex."""
-    spine = 0
+    if not m.redexes & BETA_BIT:
+        return None
+    spine: list[Term] = []
     t = m
     while isinstance(t, App) and isinstance(t.fun, App):
-        spine += 1
+        spine.append(t)
         t = t.fun
     if not is_beta_redex(t):
         return None
-    reduct: Term = beta_contract(t)
-    rebuild: list[Term] = []
-    u = m
-    for _ in range(spine):
-        rebuild.append(u.arg)
-        u = u.fun
-    for a in reversed(rebuild):
-        reduct = App(reduct, a)
-    return ("fun",) * spine, reduct
+    path = ("fun",) * len(spine)
+    return path, _rebuild(spine, path, beta_contract(t))
 
 
 def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
@@ -124,7 +138,7 @@ def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
     if r is Relation.H:
         hp = _head_position(m)
         return ("beta", hp[0], hp[1]) if hp else None
-    return next(_tagged(m, (), _KINDS[r]), None)
+    return next(_tagged(m, _KINDS[r]), None)
 
 
 def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
@@ -132,7 +146,7 @@ def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
     if r is Relation.H:
         hit = first_step(m, r)
         return [hit] if hit else []
-    return list(_tagged(m, (), _KINDS[r]))
+    return list(_tagged(m, _KINDS[r]))
 
 
 def _keyed_steps(m: Term, r: Relation) -> list[tuple[tuple, Term]]:
@@ -285,13 +299,18 @@ class ConfluenceReport:
         return not self.unjoined
 
 
-def reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dict:
-    """The terms reachable from m within depth r-steps, as an alpha key ->
-    term dict in discovery order (breadth-first, each term's reducts in
-    leftmost-outermost order), m first; key is m's.  cache maps a key to its
-    term's _keyed_steps, for one r only; it may start empty, and it is
-    filled as terms are stepped."""
-    seen = {key: m}
+def reachable(
+    m: Term, key: tuple, r: Relation, depth: int, cache: dict
+) -> Iterator[tuple[tuple, Term]]:
+    """The terms reachable from m within depth r-steps, as (alpha key, term)
+    pairs in discovery order (breadth-first, each term's reducts in
+    leftmost-outermost order), m first; key is m's.  Lazy: a term is stepped
+    only when the pairs before its reducts have been taken, so a caller that
+    stops early steps no further.  cache maps a key to its term's
+    _keyed_steps, for one r only; it may start empty, and it is filled as
+    terms are stepped."""
+    yield key, m
+    seen = {key}
     front = [(key, m)]
     for _ in range(depth):
         nxt = []
@@ -301,12 +320,12 @@ def reachable(m: Term, key: tuple, r: Relation, depth: int, cache: dict) -> dict
                 steps = cache[k] = _keyed_steps(t, r)
             for k2, reduct in steps:
                 if k2 not in seen:
-                    seen[k2] = reduct
+                    seen.add(k2)
                     nxt.append((k2, reduct))
+                    yield k2, reduct
         if not nxt:
             break
         front = nxt
-    return seen
 
 
 def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport:
@@ -321,7 +340,7 @@ def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport
         return ConfluenceReport(0, [])
     key = alpha_key(m)
     cache = {key: first}
-    space = reachable(m, key, r, depth, cache)
+    space = dict(reachable(m, key, r, depth, cache))
     # step the outermost terms before any join search can cache an
     # alpha-variant of one of them, so each peak shows the term in space
     for k, t in space.items():
@@ -345,6 +364,7 @@ def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport
 def _joinable(
     t1: Term, k1: tuple, t2: Term, k2: tuple, r: Relation, depth: int, cache: dict
 ) -> bool:
-    a = reachable(t1, k1, r, depth, cache)
-    b = reachable(t2, k2, r, depth, cache)
-    return not a.keys().isdisjoint(b.keys())
+    """Whether t1 and t2 share a reduct within depth steps: the second walk
+    stops at the first key the first one reached."""
+    a = {k for k, _ in reachable(t1, k1, r, depth, cache)}
+    return any(k in a for k, _ in reachable(t2, k2, r, depth, cache))

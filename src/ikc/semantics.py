@@ -232,9 +232,10 @@ def saturation_check(
         key = alpha_key(m)
         if key in member_keys:
             continue
-        # a fresh cache per term, so no alpha-variant leaks between terms
+        # a fresh cache per term, so no alpha-variant leaks between terms;
+        # the walk stops at the first member it reaches
         space = reachable(m, key, r, depth, {})
-        hit = next((t for k, t in space.items() if k in member_keys), None)
+        hit = next((t for k, t in space if k in member_keys), None)
         if hit is not None:
             report.violations.append((m, hit))
     return report

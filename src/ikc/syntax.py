@@ -18,6 +18,20 @@ nodes: an Abs reuses its body's map when the binder is not free in it, an App
 reuses the map of a side that covers the other, and every closed Abs shares
 one empty map.  So a map is never mutated after construction; free_map gives
 a private, mutable copy.
+
+Each node also stores its redex mask (redexes): BETA_BIT is set when the node
+contains a beta redex (an App (lam x^L. P) Q with d(Q) = L) and ETA_BIT when
+it contains an eta redex (lam x^L. (P x^L) with x^L not free in P), itself
+included.  The constructors set it in O(1) from the parts' masks and the
+same tests as is_beta_redex/is_eta_redex, so step enumeration (reduction)
+skips a redex-free subtree without walking it, needs no recursion, and
+answers on a normal form in O(1).  A variable contains no redex, so Var's
+mask is the class constant 0.
+
+Each node class writes its own __init__, which checks formation and sets
+every slot in one pass; the dataclass still gives equality, hashing, repr
+and __match_args__ over the declared fields only, never the derived slots
+(_fv, degree, redexes).
 """
 
 from __future__ import annotations
@@ -48,65 +62,92 @@ class VarKey(NamedTuple):
 
 # ---------------------------------------------------------------- terms
 
+# the bits of a node's redex mask
+BETA_BIT = 1
+ETA_BIT = 2
+
 
 # Each node's _fv is its free-variable map, name -> Index.  A map may belong
 # to many nodes, so none is mutated after its constructor; free_map copies.
 # _NO_FV is the one map of every closed abstraction.
 _NO_FV: dict[str, Index] = {}
 
+# sets a slot of a frozen node; only the node constructors use it
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
     idx: Index
     _fv: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fv", {self.name: self.idx})
+    redexes = 0  # a class constant, not a field
+
+    def __init__(self, name: str, idx: Index):
+        _set(self, "name", name)
+        _set(self, "idx", idx)
+        _set(self, "_fv", {name: idx})
 
     @property
     def degree(self) -> Index:
         return self.idx
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Abs:
     var: str
     idx: Index
     body: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
     degree: Index = field(init=False, repr=False, compare=False)
+    redexes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        body = self.body
-        if not prefix_leq(body.degree, self.idx):
+    def __init__(self, var: str, idx: Index, body: "Term"):
+        degree = body.degree
+        if idx[: len(degree)] != degree:  # prefix_leq, inlined
             raise DegreeError(
-                f"binder {self.var}{index_str(self.idx)} does not extend body degree "
-                f"{index_str(body.degree)}"
+                f"binder {var}{index_str(idx)} does not extend body degree "
+                f"{index_str(degree)}"
             )
         fv = body._fv
-        if fv.get(self.var) == self.idx:
+        if fv.get(var) == idx:
             if len(fv) == 1:
                 fv = _NO_FV
             else:
                 fv = dict(fv)
-                del fv[self.var]
-        object.__setattr__(self, "_fv", fv)
-        object.__setattr__(self, "degree", body.degree)
+                del fv[var]
+        _set(self, "var", var)
+        _set(self, "idx", idx)
+        _set(self, "body", body)
+        _set(self, "_fv", fv)
+        _set(self, "degree", degree)
+        redexes = body.redexes
+        if isinstance(body, App):  # is_eta_redex(self), inlined
+            arg = body.arg
+            if (
+                isinstance(arg, Var)
+                and arg.name == var
+                and arg.idx == idx
+                and body.fun._fv.get(var) != idx
+            ):
+                redexes |= ETA_BIT
+        _set(self, "redexes", redexes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     fun: "Term"
     arg: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
     degree: Index = field(init=False, repr=False, compare=False)
+    redexes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        fun, arg = self.fun, self.arg
-        if not prefix_leq(fun.degree, arg.degree):
+    def __init__(self, fun: "Term", arg: "Term"):
+        degree = fun.degree
+        if arg.degree[: len(degree)] != degree:  # prefix_leq, inlined
             raise DegreeError(
-                f"application degree {index_str(fun.degree)} does not prefix "
+                f"application degree {index_str(degree)} does not prefix "
                 f"argument degree {index_str(arg.degree)}"
             )
         # reuse the larger map when it covers the smaller; copy only when
@@ -120,11 +161,33 @@ class App:
                     f"{name} free at {index_str(ffv[name])} and {index_str(afv[name])}"
                 )
             fv = {**ffv, **afv}
-        object.__setattr__(self, "_fv", fv)
-        object.__setattr__(self, "degree", fun.degree)
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "_fv", fv)
+        _set(self, "degree", degree)
+        redexes = fun.redexes | arg.redexes
+        if isinstance(fun, Abs) and arg.degree == fun.idx:  # is_beta_redex(self)
+            redexes |= BETA_BIT
+        _set(self, "redexes", redexes)
 
 
 Term = Union[Var, Abs, App]
+
+
+def is_beta_redex(m: Term) -> bool:
+    return isinstance(m, App) and isinstance(m.fun, Abs) and m.arg.degree == m.fun.idx
+
+
+def is_eta_redex(m: Term) -> bool:
+    if not (isinstance(m, Abs) and isinstance(m.body, App)):
+        return False
+    arg = m.body.arg
+    return (
+        isinstance(arg, Var)
+        and arg.name == m.var
+        and arg.idx == m.idx
+        and m.body.fun._fv.get(m.var) != m.idx
+    )
 
 
 def free_vars(m: Term) -> frozenset[VarKey]:

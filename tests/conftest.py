@@ -32,3 +32,18 @@ def small_terms():
     from ikc.gen import enumerate_terms
 
     return enumerate_terms(5)
+
+
+@pytest.fixture(scope="session")
+def enum6():
+    from ikc.gen import enumerate_terms
+
+    return enumerate_terms(6)
+
+
+@pytest.fixture(scope="session")
+def criterion3_terms():
+    """The 1,000 random terms of size 8-12 that acceptance criterion 3 checks."""
+    from test_acceptance import _random_larger_terms
+
+    return _random_larger_terms()

@@ -10,6 +10,7 @@ from ikc.reduction import (
     NormalForm,
     Relation,
     Verdict,
+    beta_contract,
     check_local_confluence,
     equiv,
     first_step,
@@ -17,7 +18,18 @@ from ikc.reduction import (
     step,
     step_positions,
 )
-from ikc.syntax import free_vars, lift, parse_term, print_term
+from ikc.syntax import (
+    Abs,
+    App,
+    Var,
+    alpha_key,
+    free_vars,
+    is_beta_redex,
+    is_eta_redex,
+    lift,
+    parse_term,
+    print_term,
+)
 
 
 def redex(text):
@@ -172,3 +184,168 @@ def test_step_deduplicates_alpha_variants():
     m = redex("(lam x [] (app (lam y [] y[]) x[]))")
     assert len(step_positions(m, Relation.BETAETA)) == 2
     assert len(step(m, Relation.BETAETA)) == 1
+
+
+# ---------------------------------------------------------------- the step walk
+
+
+def _reference_tagged(m, path, kinds):
+    """The recursive walk that step enumeration used before redex masks: it
+    enters every node; kinds is a tuple of step names."""
+    match m:
+        case Var():
+            return
+        case Abs(var, idx, body):
+            if "eta" in kinds and is_eta_redex(m):
+                yield "eta", path, m.body.fun
+            for kind, p, r in _reference_tagged(body, path + ("body",), kinds):
+                yield kind, p, Abs(var, idx, r)
+        case App(fun, arg):
+            if "beta" in kinds and is_beta_redex(m):
+                yield "beta", path, beta_contract(m)
+            for kind, p, r in _reference_tagged(fun, path + ("fun",), kinds):
+                yield kind, p, App(r, arg)
+            for kind, p, r in _reference_tagged(arg, path + ("arg",), kinds):
+                yield kind, p, App(fun, r)
+
+
+def _reference_head(m):
+    """The head step as it was found before redex masks: walk the spine."""
+    spine = 0
+    t = m
+    while isinstance(t, App) and isinstance(t.fun, App):
+        spine += 1
+        t = t.fun
+    if not is_beta_redex(t):
+        return []
+    reduct = beta_contract(t)
+    args = []
+    u = m
+    for _ in range(spine):
+        args.append(u.arg)
+        u = u.fun
+    for a in reversed(args):
+        reduct = App(reduct, a)
+    return [("beta", ("fun",) * spine, reduct)]
+
+
+_REFERENCE_KINDS = {
+    Relation.BETA: ("beta",),
+    Relation.ETA: ("eta",),
+    Relation.BETAETA: ("beta", "eta"),
+}
+
+
+def _reference_steps(m, r):
+    if r is Relation.H:
+        return _reference_head(m)
+    return list(_reference_tagged(m, (), _REFERENCE_KINDS[r]))
+
+
+def _printed(steps):
+    return [(kind, path, print_term(reduct)) for kind, path, reduct in steps]
+
+
+def _assert_walk_matches_reference(terms):
+    """step_positions equals the reference walk on every term and relation:
+    same kinds, paths and printed reducts, in the same order."""
+    count = 0
+    for m in terms:
+        for r in Relation:
+            want = _printed(_reference_steps(m, r))
+            assert _printed(step_positions(m, r)) == want, (print_term(m), r)
+            count += len(want)
+    return count
+
+
+def test_step_walk_matches_reference_on_enum6(enum6):
+    assert _assert_walk_matches_reference(enum6) > 0
+
+
+def test_step_walk_matches_reference_on_an_enum7_stride():
+    # every 13th term of enumerate_terms(7); the whole of it (537,204 terms,
+    # 354,342 steps) is checked outside the test suite
+    assert _assert_walk_matches_reference(enumerate_terms(7)[::13]) > 0
+
+
+def test_step_walk_matches_reference_on_criterion3_terms(criterion3_terms):
+    assert _assert_walk_matches_reference(criterion3_terms) > 0
+
+
+# ---------------------------------------------------------------- deep terms
+
+_DEPTH = 10_000
+
+
+def _abs_chain(bottom):
+    m = bottom
+    for _ in range(_DEPTH):
+        m = Abs("v", (), m)
+    return m
+
+
+def _fun_spine(bottom):
+    # the bottom is the spine head; an argument of degree [1] never makes a
+    # beta redex with a binder at []
+    m = bottom
+    for _ in range(_DEPTH):
+        m = App(m, Var("y", (1,)))
+    return m
+
+
+def _arg_spine(bottom):
+    m = bottom
+    for _ in range(_DEPTH):
+        m = App(Var("f", ()), m)
+    return m
+
+
+_SHAPES = {
+    "abs-chain": (_abs_chain, "body"),
+    "fun-spine": (_fun_spine, "fun"),
+    "arg-spine": (_arg_spine, "arg"),
+}
+
+# the bottom of a deep term: no redex, or one redex that contracts to x[]
+_BOTTOMS = {
+    "none": "x[]",
+    "beta": "(app (lam z [] z[]) x[])",
+    "eta": "(lam z [] (app x[] z[]))",
+}
+
+_SEES = {
+    Relation.BETA: {"beta"},
+    Relation.ETA: {"eta"},
+    Relation.BETAETA: {"beta", "eta"},
+    Relation.H: set(),  # but for a beta redex at the head of a spine
+}
+
+
+@pytest.mark.parametrize("bottom", sorted(_BOTTOMS))
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_deep_terms_step_without_recursion(shape, bottom):
+    # 10,000 levels is ten times the default recursion limit; the results
+    # are compared by alpha key, which walks without recursion
+    build, way = _SHAPES[shape]
+    m = build(parse_term(_BOTTOMS[bottom]))
+    contracted = alpha_key(build(Var("x", ())))
+    path = (way,) * _DEPTH
+    for r in Relation:
+        fires = bottom in _SEES[r] or (
+            r is Relation.H and bottom == "beta" and shape == "fun-spine"
+        )
+        hit = first_step(m, r)
+        steps = step_positions(m, r)
+        reducts = step(m, r)
+        nf = normalize(m, r, 5)
+        rep = check_local_confluence(m, r, 3)
+        assert isinstance(nf, NormalForm)
+        assert rep.peaks_checked == 0 and rep.ok
+        if fires:
+            assert hit[:2] == (bottom, path) and alpha_key(hit[2]) == contracted
+            assert [(kind, p) for kind, p, _ in steps] == [(bottom, path)]
+            assert [alpha_key(t) for t in reducts] == [contracted]
+            assert nf.steps == 1 and alpha_key(nf.term) == contracted
+        else:
+            assert hit is None and steps == [] and reducts == []
+            assert nf.steps == 0 and nf.term is m

@@ -1,8 +1,8 @@
 import pytest
 
 from ikc.derivations import parse_derivation
-from ikc.gen import enumerate_closed
-from ikc.reduction import Relation
+from ikc.gen import enumerate_closed, enumerate_terms
+from ikc.reduction import Relation, step
 from ikc.semantics import (
     EXAMPLE_TYPES,
     completeness_sample,
@@ -13,7 +13,7 @@ from ikc.semantics import (
     soundness_check,
     verdict_line,
 )
-from ikc.syntax import lift, parse_term, print_term
+from ikc.syntax import alpha_key, lift, parse_term, print_term
 
 pt = parse_term
 
@@ -136,6 +136,44 @@ def test_saturation_members_closed_under_expansion():
         if not oracle_membership("id0", m).member
     ]
     assert hard == []
+
+
+def _reference_saturation(members, ambient, r, depth):
+    """Each ambient non-member's whole reachable set, walked breadth-first by
+    step; the witness is its first member in discovery order."""
+    member_keys = {alpha_key(m) for m in members}
+    out = []
+    for m in ambient:
+        key = alpha_key(m)
+        if key in member_keys:
+            continue
+        seen = {key: m}
+        front = [m]
+        for _ in range(depth):
+            nxt = []
+            for t in front:
+                for reduct in step(t, r):
+                    k = alpha_key(reduct)
+                    if k not in seen:
+                        seen[k] = reduct
+                        nxt.append(reduct)
+            front = nxt
+        hit = next((t for k, t in seen.items() if k in member_keys), None)
+        if hit is not None:
+            out.append((print_term(m), print_term(hit)))
+    return out
+
+
+def test_saturation_stops_at_the_witness_the_whole_walk_finds():
+    members = enumerate_terms(5)[::7]
+    ambient = enumerate_terms(6)[::3]
+    total = 0
+    for r in Relation:
+        rep = saturation_check(members, ambient, r, 3)
+        got = [(print_term(m), print_term(w)) for m, w in rep.violations]
+        assert got == _reference_saturation(members, ambient, r, 3), r
+        total += len(got)
+    assert total == 5295
 
 
 def test_lift_correspondence_pairs():

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +9,8 @@ from linear_time import assert_linear_build
 from ikc.errors import DegreeError, InputSyntaxError, JoinabilityError
 from ikc.gen import enumerate_terms, random_term
 from ikc.syntax import (
+    BETA_BIT,
+    ETA_BIT,
     Abs,
     App,
     Var,
@@ -15,7 +20,9 @@ from ikc.syntax import (
     alpha_key,
     free_map,
     free_vars,
+    is_beta_redex,
     is_closed,
+    is_eta_redex,
     joinable,
     lift,
     lift_seq,
@@ -133,6 +140,48 @@ def test_enumerated_terms_share_maps():
     nodes = _nodes(enumerate_terms(6))
     maps = {id(t._fv) for t in nodes}
     assert len(maps) * 4 <= len(nodes), (len(maps), len(nodes))
+
+
+def _recomputed_redexes(t):
+    """t's redex mask from is_beta_redex/is_eta_redex over all its subterms."""
+    mask = 0
+    for s in _nodes([t]):
+        mask |= (BETA_BIT if is_beta_redex(s) else 0) | (ETA_BIT if is_eta_redex(s) else 0)
+    return mask
+
+
+def test_redex_masks_match_their_subterms(enum6, criterion3_terms):
+    nodes = _nodes(enum6 + criterion3_terms)
+    for t in nodes:
+        assert t.redexes == _recomputed_redexes(t), print_term(t)
+    assert {t.redexes for t in nodes} == {0, BETA_BIT, ETA_BIT, BETA_BIT | ETA_BIT}
+
+
+def test_derived_slots_leave_node_identity_alone():
+    # degree, _fv and the redex mask are not fields of equality, hashing,
+    # repr or pattern matching
+    assert Var.__match_args__ == ("name", "idx")
+    assert Abs.__match_args__ == ("var", "idx", "body")
+    assert App.__match_args__ == ("fun", "arg")
+    for cls in (Var, Abs, App):
+        fields = dataclasses.fields(cls)
+        assert [f.name for f in fields if f.compare] == list(cls.__match_args__)
+        assert [f.name for f in fields if f.repr] == list(cls.__match_args__)
+    text = "(app (lam x [] (app f[] x[])) y[])"
+    m, n = parse_term(text), parse_term(text)
+    assert m == n and m is not n and hash(m) == hash(n)
+    assert hash(m) == hash((m.fun, m.arg))
+    assert hash(m.fun) == hash(("x", (), m.fun.body))
+    assert hash(m.arg) == hash(("y", ()))
+    assert m != parse_term("(app (lam x [] (app f[] x[])) z[])")
+    assert repr(m) == (
+        "App(fun=Abs(var='x', idx=(), body=App(fun=Var(name='f', idx=()), "
+        "arg=Var(name='x', idx=()))), arg=Var(name='y', idx=()))"
+    )
+    assert Abs(var="x", idx=(), body=Var(name="x", idx=())) == parse_term("(lam x [] x[])")
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and copy.redexes == m.redexes == BETA_BIT | ETA_BIT
+    assert copy.degree == () and free_map(copy) == {"f": (), "y": ()}
 
 
 @pytest.mark.parametrize(
