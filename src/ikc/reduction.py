@@ -20,7 +20,10 @@ step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
 first_step takes the leftmost-outermost step without building the others;
-LeftmostBeta walks the leftmost beta path for the oracles and the search;
+LeftmostBeta walks the leftmost beta path for the oracles and the search,
+keying a reduct (and its source) only while the reduct still has a beta
+redex: the mask is alpha-invariant, so the normal form that ends a path can
+never repeat one of its earlier terms, and is never keyed;
 reachable is the one depth-bounded reachable-set walk, lazy so that a caller
 can stop at its first hit, shared by the confluence checker and
 semantics.saturation_check.
@@ -212,14 +215,16 @@ class LeftmostBeta:
         self.revisited: Term | None = None
 
     def __iter__(self) -> Iterator[tuple[Term, Path]]:
-        seen, key = set(), None  # a normal form is never keyed
+        seen, key = set(), None
         while (hit := first_step(self.term, Relation.BETA)) is not None:
-            seen.add(key or alpha_key(self.term))
             source, self.term = self.term, hit[2]
-            key = alpha_key(self.term)
-            if key in seen:
-                self.revisited = self.term
-                return
+            # a normal form cannot repeat a term of the path: it is not keyed
+            if self.term.redexes & BETA_BIT:
+                seen.add(key or alpha_key(source))
+                key = alpha_key(self.term)
+                if key in seen:
+                    self.revisited = self.term
+                    return
             yield source, hit[1]
 
 

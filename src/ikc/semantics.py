@@ -12,6 +12,11 @@ matching the result against the inhabitant patterns proved for that type:
     natp0  (-> (-> (e 1 a) a) (-> (e 1 a) a))
                                           reduces to  \\f.f  or  \\f.\\y(1).f y(1)
 
+The patterns match the raw normal form, not an alpha-canonical copy: an
+occurrence is matched to its binder by name and Index, which only a binder
+shadowing another at the same Index could fool.  Only the iterator shape
+has two binders at one Index, so it requires y != f.
+
 Leftmost reduction is normalizing, so revisiting an alpha class during the
 search is a definite refutation: the term has no beta normal form at all.
 Only fuel exhaustion is reported as undecided, and it is kept distinct
@@ -31,7 +36,6 @@ from .syntax import (
     Index,
     Term,
     Var,
-    alpha_canon,
     alpha_key,
     is_closed,
     lift,
@@ -97,7 +101,7 @@ def _is_iterator(nf: Term, idx: Index) -> bool:
     match nf:
         case Abs(f, i, Var(w, j)):
             return i == idx and j == idx and w == f
-        case Abs(f, i, Abs(y, i2, body)) if i == idx and i2 == idx:
+        case Abs(f, i, Abs(y, i2, body)) if i == idx and i2 == idx and y != f:
             count = 0
             while True:
                 match body:
@@ -148,7 +152,7 @@ def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
                 False, reason="no beta normal form on the leftmost path"
             )
         return OracleVerdict(False, undecided=True, reason="undecided within fuel")
-    if _PATTERNS[tag](alpha_canon(nf)):
+    if _PATTERNS[tag](nf):
         return OracleVerdict(True, witness=nf)
     return OracleVerdict(
         False, witness=nf, reason="normal form does not match the inhabitant shape"

@@ -37,6 +37,7 @@ and __match_args__ over the declared fields only, never the derived slots
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple, Union
 
 from .errors import DegreeError, InputSyntaxError, JoinabilityError
@@ -226,14 +227,16 @@ def joinable(m: Term, n: Term) -> bool:
 
 
 def term_size(m: Term) -> int:
-    match m:
-        case Var():
-            return 1
-        case Abs(_, _, body):
-            return 1 + term_size(body)
-        case App(fun, arg):
-            return 1 + term_size(fun) + term_size(arg)
-    raise AssertionError(m)
+    """The number of nodes of m, by one explicit-stack walk."""
+    size, stack = 0, [m]
+    while stack:
+        t = stack.pop()
+        size += 1
+        if t.__class__ is App:
+            stack += (t.fun, t.arg)
+        elif t.__class__ is Abs:
+            stack.append(t.body)
+    return size
 
 
 # ---------------------------------------------------------------- parsing
@@ -290,11 +293,23 @@ def print_term(m: Term) -> str:
 # ---------------------------------------------------------------- renaming
 
 
-def fresh_name(avoid: frozenset[str] | set[str]) -> str:
-    i = 0
-    while f"_r{i}" in avoid:
-        i += 1
-    return f"_r{i}"
+class Avoid:
+    """The names a renamed binder must avoid in one substitution: every name
+    of its terms, collected at the first capture clash only (most
+    substitutions have none), and the fresh names chosen above the subtree.
+    Sibling subtrees share one Avoid, so they avoid the same names."""
+
+    __slots__ = ("terms", "names")
+
+    def __init__(self, *terms: Term, names: frozenset[str] | None = None):
+        self.terms, self.names = terms, names
+
+    def fresh(self) -> tuple[str, "Avoid"]:
+        """A fresh name, and the Avoid of the subtree under its binder."""
+        if self.names is None:
+            self.names = frozenset().union(*map(all_names, self.terms))
+        f = next(f"_r{i}" for i in count() if f"_r{i}" not in self.names)
+        return f, Avoid(names=self.names | {f})
 
 
 # ---------------------------------------------------------------- substitution
@@ -326,13 +341,10 @@ def substitute(m: Term, binds: dict[VarKey, Term]) -> Term:
                 raise JoinabilityError(
                     f"{name} free at {index_str(merged[name])} and {index_str(idx)}"
                 )
-    avoid = set(all_names(m))
-    for n in binds.values():
-        avoid |= all_names(n)
-    return _subst(m, binds, avoid)
+    return _subst(m, binds, Avoid(m, *binds.values()))
 
 
-def _subst(m: Term, binds: dict[VarKey, Term], avoid: set[str]) -> Term:
+def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:
     live = {k: n for k, n in binds.items() if m._fv.get(k.name) == k.idx}
     if not live:
         return m
@@ -342,10 +354,8 @@ def _subst(m: Term, binds: dict[VarKey, Term], avoid: set[str]) -> Term:
         case App(fun, arg):
             return App(_subst(fun, live, avoid), _subst(arg, live, avoid))
         case Abs(var, idx, body):
-            clash = any(var in n._fv for n in live.values())
-            if clash:
-                f = fresh_name(avoid)
-                avoid = avoid | {f}
+            if any(var in n._fv for n in live.values()):
+                f, avoid = avoid.fresh()
                 body = _subst(body, {VarKey(var, idx): Var(f, idx)}, avoid)
                 return Abs(f, idx, _subst(body, live, avoid))
             return Abs(var, idx, _subst(body, live, avoid))

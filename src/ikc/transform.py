@@ -31,12 +31,11 @@ from .errors import NotAnExpansionError, NotAReductError, PreconditionError
 from .syntax import (
     Abs,
     App,
+    Avoid,
     Index,
     Term,
     Var,
     VarKey,
-    all_names,
-    fresh_name,
     free_vars,
     index_str,
     lower,
@@ -216,14 +215,13 @@ def _subst_elaborated(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
         raise PreconditionError(
             "replacement derivation concludes at a different type than the binding"
         )
-    avoid = set(all_names(jm.subject)) | set(all_names(jn.subject))
-    return _subst_d(dm, x, dn, avoid)
+    return _subst_d(dm, x, dn, Avoid(jm.subject, jn.subject))
 
 
-def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: set[str]) -> Derivation:
+def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: Avoid) -> Derivation:
     """Core recursion; x is in dm's environment and dn concludes at exactly
     the binding of x.  Mirrors the term-level substitution's renaming choices
-    via the threaded avoid set."""
+    via the threaded Avoid."""
     jn = dn.judgment
     match dm:
         case Ax():
@@ -237,19 +235,15 @@ def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: set[str]) -> Deri
         case ArrI(var, idx, ann, premise):
             key = VarKey(var, idx)
             assert key != x
-            clash = var in jn.subject._fv
-            if clash:
-                f = fresh_name(avoid)
-                avoid = avoid | {f}
-                premise = rename_free_in_deriv(premise, key, f)
-                var = f
+            if var in jn.subject._fv:
+                var, avoid = avoid.fresh()
+                premise = rename_free_in_deriv(premise, key, var)
             return ArrI(var, idx, ann, _subst_d(premise, x, dn, avoid))
 
         case ArrIW(var, idx, premise):
             if var in jn.subject._fv:
-                f = fresh_name(avoid)
-                avoid = avoid | {f}
-                var = f  # binder is not free below; the premise is untouched
+                # the binder is not free below, so the premise is untouched
+                var, avoid = avoid.fresh()
             return ArrIW(var, idx, _subst_d(premise, x, dn, avoid))
 
         case ArrE(fun, arg):

@@ -17,8 +17,9 @@ Canonical nodes (CAtom, CArrow, CanonType) are hash-consed: constructing one
 returns the existing node with the same fields if there is one, so each
 distinct type is one object and == is identity.  A node stores its hash and
 its sort key (read by comp_key/type_key), both built from its children's
-stored ones, so neither is recomputed.  The tables hold nodes weakly, so
-they keep no type alive.
+stored ones, so neither is recomputed.  The tables are plain dicts that keep
+every distinct type for the life of the process: a workload builds a few
+types again and again, which a weak table would let die and intern anew.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Union
-from weakref import WeakValueDictionary
 
 from .errors import DegreeError, InputSyntaxError, ShapeError
 from .syntax import Index, index_str, prefix_leq
@@ -38,12 +38,12 @@ from . import sexpr
 class _Interned:
     """Base of the hash-consed canonical nodes (see the module docstring).
 
-    Each subclass keeps a weak table from field tuples to nodes; its __new__
+    Each subclass keeps a table from field tuples to nodes; its __new__
     returns the table's node, or builds one with _intern.  == is object's
     own identity test, and a node is immutable.
     """
 
-    __slots__ = ("_key", "_hash", "__weakref__")
+    __slots__ = ("_key", "_hash")
     __match_args__: tuple[str, ...] = ()
 
     @classmethod
@@ -79,7 +79,7 @@ class _Interned:
 class CAtom(_Interned):
     __slots__ = ("name",)
     __match_args__ = ("name",)
-    _table: WeakValueDictionary = WeakValueDictionary()
+    _table: dict = {}
     name: str
 
     def __new__(cls, name: str) -> "CAtom":
@@ -90,7 +90,7 @@ class CAtom(_Interned):
 class CArrow(_Interned):
     __slots__ = ("arg", "res")
     __match_args__ = ("arg", "res")
-    _table: WeakValueDictionary = WeakValueDictionary()
+    _table: dict = {}
     arg: "CanonType"
     res: "CanonT"
 
@@ -105,7 +105,7 @@ CanonT = Union[CAtom, CArrow]
 class CanonType(_Interned):
     __slots__ = ("prefix", "comps")
     __match_args__ = ("prefix", "comps")
-    _table: WeakValueDictionary = WeakValueDictionary()
+    _table: dict = {}
     prefix: Index
     comps: tuple[CanonT, ...]
 

@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from ikc import search
+from ikc import reduction, search
 from ikc.derivations import check_derivation
 from ikc.envs import Judgment, env_empty, mk_env, parse_env
 from ikc.search import Found, Refuted, Unknown, bounded_typecheck
-from ikc.syntax import VarKey, parse_term
+from ikc.syntax import VarKey, alpha_key, parse_term
 from ikc.types import parse_type
 
 
@@ -165,6 +165,20 @@ def test_unknown_names_why():
     out = bounded_typecheck(parse_term(GROWER), env_empty(), parse_type("(-> a a)"))
     assert out == Unknown("fuel exhausted")
     assert time.process_time() - start < 1.0
+
+
+def test_leftmost_path_keys_only_reducts_with_a_redex(monkeypatch):
+    # the normal form that ends a path cannot repeat one of its terms, so a
+    # one-step path to it keys nothing, and omega's revisit is still caught
+    keyed = []
+    monkeypatch.setattr(
+        reduction, "alpha_key", lambda m: keyed.append(m) or alpha_key(m)
+    )
+    found_at("(app (lam x [] x[]) (lam y [] y[]))", "()", "(-> a a)")
+    assert keyed == []
+    out = bounded_typecheck(parse_term(OMEGA), env_empty(), parse_type("(-> a a)"))
+    assert out == Unknown(f"no beta normal form: the leftmost path revisits {OMEGA}")
+    assert len(keyed) == 2
 
 
 def test_unfound_application_goal_is_not_refuted():

@@ -2,7 +2,7 @@ import pytest
 
 from ikc.derivations import parse_derivation
 from ikc.gen import enumerate_closed, enumerate_terms
-from ikc.reduction import Relation, step
+from ikc.reduction import Relation, first_step, step
 from ikc.semantics import (
     EXAMPLE_TYPES,
     completeness_sample,
@@ -56,6 +56,27 @@ def test_non_member_anchor(tag, term):
     assert not v.member and not v.undecided
 
 
+# the inner binder shadows f, so both occurrences are y: not an iterator
+SHADOWED = "(lam f [] (lam f [] (app f[] f[])))"
+SHADOWED1 = print_term(lift(pt(SHADOWED), 1))
+
+
+@pytest.mark.parametrize(
+    "tag,term,nf",
+    [
+        ("nat0", SHADOWED, SHADOWED),
+        ("nat1", SHADOWED1, SHADOWED1),
+        ("nat0", f"(app (lam x [] x[]) {SHADOWED})", SHADOWED),
+    ],
+    ids=["nf", "lifted-nf", "redex"],
+)
+def test_shadowed_iterator_is_a_non_member(tag, term, nf):
+    v = oracle_membership(tag, pt(term))
+    assert not v.member and not v.undecided
+    assert v.reason == "normal form does not match the inhabitant shape"
+    assert print_term(v.witness) == nf
+
+
 def test_free_variable_gate():
     v = oracle_membership("id0", pt("y[]"))
     assert not v.member and not v.undecided
@@ -89,6 +110,31 @@ def test_tiny_fuel_is_undecided():
     )
     v = oracle_membership("id0", grower, fuel=3)
     assert v.undecided and not v.member
+
+
+def _reference_leftmost_nf(m, fuel):
+    """leftmost_beta_nf keying every term of the path, normal form included."""
+    seen = set()
+    for _ in range(fuel):
+        hit = first_step(m, Relation.BETA)
+        if hit is None:
+            return m, False
+        seen.add(alpha_key(m))
+        m = hit[2]
+        if alpha_key(m) in seen:
+            return None, True
+    return None, False
+
+
+def test_leftmost_nf_matches_the_reference():
+    outcomes = set()
+    for m in enumerate_closed(8) + [pt(OMEGA)]:
+        for fuel in (0, 1, 2, 3, 5, 2000):
+            nf, cycled = leftmost_beta_nf(m, fuel)
+            want, want_cycled = _reference_leftmost_nf(m, fuel)
+            assert cycled == want_cycled and nf == want, (print_term(m), fuel)
+            outcomes.add((nf is None, cycled))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_no_undecided_on_small_closed_terms():

@@ -8,6 +8,7 @@ from linear_time import assert_linear_build
 
 from ikc.errors import DegreeError, InputSyntaxError, JoinabilityError
 from ikc.gen import enumerate_terms, random_term
+from ikc import syntax
 from ikc.syntax import (
     BETA_BIT,
     ETA_BIT,
@@ -18,6 +19,7 @@ from ikc.syntax import (
     alpha_canon,
     alpha_eq,
     alpha_key,
+    all_names,
     free_map,
     free_vars,
     is_beta_redex,
@@ -280,6 +282,84 @@ def test_substitute_ignores_other_indexes():
     assert out == m
 
 
+def _eager_substitute(m, binds, clashes):
+    """substitute with its avoid set built up front, the reference for the
+    lazy one; each renamed binder is appended to clashes."""
+    avoid = set(all_names(m))
+    for n in binds.values():
+        avoid |= all_names(n)
+
+    def go(m, binds, avoid):
+        live = {k: n for k, n in binds.items() if m._fv.get(k.name) == k.idx}
+        if not live:
+            return m
+        match m:
+            case Var(name, idx):
+                return live.get(VarKey(name, idx), m)
+            case App(fun, arg):
+                return App(go(fun, live, avoid), go(arg, live, avoid))
+            case Abs(var, idx, body):
+                if any(var in n._fv for n in live.values()):
+                    clashes.append(var)
+                    i = 0
+                    while f"_r{i}" in avoid:
+                        i += 1
+                    f = f"_r{i}"
+                    avoid = avoid | {f}
+                    body = go(body, {VarKey(var, idx): Var(f, idx)}, avoid)
+                    return Abs(f, idx, go(body, live, avoid))
+                return Abs(var, idx, go(body, live, avoid))
+
+    return go(m, binds, avoid)
+
+
+_CLASHES = [
+    # siblings that both clash pick the same fresh name
+    (
+        "(app (lam y [] x[]) (lam y [] x[]))",
+        "y[]",
+        "(app (lam _r0 [] y[]) (lam _r0 [] y[]))",
+    ),
+    # a clash under a clash avoids the name chosen above it
+    ("(lam y [] (lam z [] x[]))", "(app y[] z[])", "(lam _r0 [] (lam _r1 [] (app y[] z[])))"),
+    # a fresh name avoids every name of both terms, bound or free
+    (
+        "(lam y [] (lam _r0 [] x[]))",
+        "(app y[] _r1[])",
+        "(lam _r2 [] (lam _r0 [] (app y[] _r1[])))",
+    ),
+]
+
+
+def test_substitute_matches_the_eager_reference(enum6, criterion3_terms, monkeypatch):
+    # every beta contraction of enum6 and the criterion-3 terms, plus _CLASHES;
+    # all_names runs only for a substitution that renames a binder
+    collected = []
+    monkeypatch.setattr(
+        syntax, "all_names", lambda m: collected.append(m) or all_names(m)
+    )
+    cases = [
+        (parse_term(m), {VarKey("x", ()): parse_term(n)}, want)
+        for m, n, want in _CLASHES
+    ]
+    cases += [
+        (t.fun.body, {VarKey(t.fun.var, t.fun.idx): t.arg}, None)
+        for t in _nodes(enum6 + criterion3_terms)
+        if is_beta_redex(t)
+    ]
+    renamed = 0
+    for m, binds, want in cases:
+        clashes = []
+        ref = _eager_substitute(m, binds, clashes)
+        del collected[:]
+        out = substitute(m, binds)
+        assert out == ref, print_term(m)
+        assert bool(collected) == bool(clashes), print_term(m)
+        assert want is None or print_term(out) == want
+        renamed += bool(clashes)
+    assert renamed > len(_CLASHES)
+
+
 # ---------------------------------------------------------------- alpha
 
 
@@ -377,6 +457,18 @@ def test_free_map_functional(seed):
 
 def test_term_size():
     assert term_size(parse_term("(app (lam x [] x[]) y[])")) == 4
+
+
+@pytest.mark.parametrize(
+    "make,per_level",
+    [(lambda m: Abs("v", (), m), 1), (lambda m: App(m, Var("y", (1,))), 2)],
+    ids=["abs-chain", "app-spine"],
+)
+def test_term_size_of_a_deep_term_does_not_recurse(make, per_level):
+    m = Var("x", ())
+    for _ in range(10_000):
+        m = make(m)
+    assert term_size(m) == 1 + per_level * 10_000
 
 
 def test_joinable_reports_conflicts():

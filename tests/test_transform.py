@@ -16,7 +16,7 @@ from ikc.envs import Judgment, env_empty, print_judgment
 from ikc.errors import NotAnExpansionError, NotAReductError, PreconditionError
 from ikc.reduction import Relation
 from ikc.search import Found, bounded_typecheck
-from ikc.syntax import VarKey, parse_term
+from ikc.syntax import VarKey, parse_term, print_term, substitute
 from ikc.transform import (
     lower_derivation,
     subject_expand_beta,
@@ -97,6 +97,35 @@ def test_subst_derivation_renames_clashing_binders():
     j = check_derivation(out)
     assert j.subject.var == "_r0"
     assert pj(out) == "(judg (lam _r0 [] z[]) ((z [] a)) (-> (w []) a))"
+
+
+@pytest.mark.parametrize(
+    "dm,dn,want",
+    [
+        # nested clashes: each binder under the first avoids the names above
+        (
+            ArrIW("y", (), ArrIW("z", (), var_intro("x", pt("a")))),
+            ArrE(var_intro("y", pt("(-> b a)")), var_intro("z", pt("b"))),
+            "(lam _r0 [] (lam _r1 [] (app y[] z[])))",
+        ),
+        # sibling clashes: both sides pick the same fresh name
+        (
+            ArrE(
+                ArrIW("y", (), var_intro("x", pt("(-> a b)"))),
+                OmegaRule(parse_term("(lam y [] x[])")),
+            ),
+            var_intro("y", pt("(-> a b)")),
+            "(app (lam _r0 [] y[]) (lam _r0 [] y[]))",
+        ),
+    ],
+    ids=["nested", "siblings"],
+)
+def test_subst_derivation_renames_like_term_substitution(dm, dn, want):
+    x = VarKey("x", ())
+    out = check_derivation(subst_derivation(dm, x, dn)).subject
+    jm, jn = check_derivation(dm), check_derivation(dn)
+    assert out == substitute(jm.subject, {x: jn.subject})
+    assert print_term(out) == want
 
 
 def test_subst_derivation_omega_subject():
