@@ -1,11 +1,12 @@
 r"""Typing derivations: node grammar, checker, macro elaboration, I/O.
 
 A derivation file carries only rule tags and the annotations the rules need.
-Constructing a rule node checks that rule against its premises' judgments and
-stores the conclusion in the node's judgment field, so every derivation that
-exists is valid and check_derivation only reads the stored judgment.  Parsing
-builds the tree node by node through the same constructors, so untrusted text
-is checked as it is read.  The rules (ASCII, environments on the left of |-):
+Each rule class writes its own constructor, which checks that one rule against
+its premises' judgments and sets every slot in one pass, the conclusion
+(judgment) included, so every derivation that exists is valid and
+check_derivation only reads the stored judgment.  Parsing builds the tree node
+by node through the same constructors, so untrusted text is checked as it is
+read.  The rules (ASCII, environments on the left of |-):
 
     (ax)      x^[] : <x:[]:T |- T>
     (w)       M : <omega-env(M) |- w^d(M)>
@@ -25,7 +26,12 @@ which equals the subject degree.
 Two macros elaborate into the primitives before checking: (interI' d1 d2)
 meets premises with different environments by subruling both to the pointwise
 intersection, and (ax' x U) derives x^{d(U)} : <x:U |- U> componentwise
-through (ax)/(exp)/(w) and an interI' fold.
+through (ax)/(exp)/(w) and an interI' fold.  A macro node stores its
+elaboration when it is built.  Every node also stores the macro mark (macro),
+set when its subtree holds a macro node, so elaborate returns a macro-free
+tree at once and descends only into marked subtrees.  The dataclass gives
+equality, hashing, repr and __match_args__ over the declared fields only,
+never the derived slots (judgment, macro, elaborated).
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from .envs import (
     env_of_node,
     env_omega,
     env_without,
-    mk_env,
     print_env,
     typing_sub,
 )
@@ -78,90 +83,200 @@ from . import sexpr
 
 # ---------------------------------------------------------------- nodes
 
+# sets a slot of a frozen node; only the rule constructors use it
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class _Rule:
-    """A rule node: constructing it checks its rule and stores the conclusion."""
+    """A rule node: its constructor checks its rule and stores the conclusion
+    (judgment) and the macro mark (macro: the subtree holds an ax' or
+    interI' node)."""
 
     judgment: Judgment = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "judgment", _conclude(self))
+    macro: bool = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Ax(_Rule):
     name: str
     comp: CanonT
 
+    def __init__(self, name: str, comp: CanonT):
+        u = CT((), (comp,))
+        _set(self, "name", name)
+        _set(self, "comp", comp)
+        _set(self, "judgment", Judgment(Var(name, ()), Env(((VarKey(name, ()), u),)), u))
+        _set(self, "macro", False)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class OmegaRule(_Rule):
     subject: Term
 
+    def __init__(self, subject: Term):
+        _set(self, "subject", subject)
+        _set(self, "judgment", Judgment(subject, env_omega(subject), omega(subject.degree)))
+        _set(self, "macro", False)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class ArrI(_Rule):
     var: str
     idx: Index
     ann: CanonType
     premise: "Derivation"
 
+    def __init__(self, var: str, idx: Index, ann: CanonType, premise: "Derivation"):
+        jp = premise.judgment
+        key = VarKey(var, idx)
+        bound = jp.env.get(key)
+        if bound is None:
+            raise RuleError(
+                "arrI",
+                f"{var}{index_str(idx)} is not in the premise environment; "
+                "use arrIW when the binder is not free in the body",
+            )
+        if ann != bound:
+            raise RuleError("arrI", "annotation differs from the premise binding")
+        t = _single(jp.typ, "arrI")
+        _set(self, "var", var)
+        _set(self, "idx", idx)
+        _set(self, "ann", ann)
+        _set(self, "premise", premise)
+        u = CT((), (CArrow(bound, t),))
+        _set(self, "judgment", Judgment(Abs(var, idx, jp.subject), env_without(jp.env, key), u))
+        _set(self, "macro", premise.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class ArrIW(_Rule):
     var: str
     idx: Index
     premise: "Derivation"
 
+    def __init__(self, var: str, idx: Index, premise: "Derivation"):
+        jp = premise.judgment
+        if VarKey(var, idx) in jp.env:
+            raise RuleError("arrIW", f"{var}{index_str(idx)} occurs in the premise environment")
+        t = _single(jp.typ, "arrIW")
+        _set(self, "var", var)
+        _set(self, "idx", idx)
+        _set(self, "premise", premise)
+        u = CT((), (CArrow(omega(idx), t),))
+        _set(self, "judgment", Judgment(Abs(var, idx, jp.subject), jp.env, u))
+        _set(self, "macro", premise.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class ArrE(_Rule):
     fun: "Derivation"
     arg: "Derivation"
 
+    def __init__(self, fun: "Derivation", arg: "Derivation"):
+        jf = fun.judgment
+        ja = arg.judgment
+        tf = _single(jf.typ, "arrE")
+        if not isinstance(tf, CArrow):
+            raise RuleError("arrE", f"left type {print_type(jf.typ)} is not an arrow")
+        if ja.typ != tf.arg:
+            raise RuleError(
+                "arrE",
+                f"argument type {print_type(ja.typ)} differs from the arrow "
+                f"argument {print_type(tf.arg)}",
+            )
+        if not env_joinable(jf.env, ja.env):
+            raise RuleError("arrE", "premise environments disagree on a shared name")
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        u = CT((), (tf.res,))
+        _set(self, "judgment", Judgment(App(jf.subject, ja.subject), env_inter(jf.env, ja.env), u))
+        _set(self, "macro", fun.macro or arg.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class InterI(_Rule):
     left: "Derivation"
     right: "Derivation"
 
+    def __init__(self, left: "Derivation", right: "Derivation"):
+        jl = left.judgment
+        jr = right.judgment
+        if jl.subject != jr.subject:
+            raise RuleError("interI", "premises type different subjects")
+        if jl.env != jr.env:
+            raise RuleError("interI", "premises use different environments; interI' meets them")
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "judgment", Judgment(jl.subject, jl.env, inter(jl.typ, jr.typ)))
+        _set(self, "macro", left.macro or right.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class ExpRule(_Rule):
     head: int
     premise: "Derivation"
 
+    def __init__(self, head: int, premise: "Derivation"):
+        jp = premise.judgment
+        _set(self, "head", head)
+        _set(self, "premise", premise)
+        j = Judgment(lift(jp.subject, head), env_expand(head, jp.env), expand_type(head, jp.typ))
+        _set(self, "judgment", j)
+        _set(self, "macro", premise.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class SubRule(_Rule):
     premise: "Derivation"
     env: Env
     typ: CanonType
 
+    def __init__(self, premise: "Derivation", env: Env, typ: CanonType):
+        jp = premise.judgment
+        target = Judgment(jp.subject, env, typ)
+        if not typing_sub(jp, target):
+            raise RuleError("sub", _sub_diagnosis(jp, target))
+        _set(self, "premise", premise)
+        _set(self, "env", env)
+        _set(self, "typ", typ)
+        _set(self, "judgment", target)
+        _set(self, "macro", premise.macro)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class _Macro(_Rule):
     """A macro node: it stores its elaboration into the primitive rules, whose
     constructors check it, and concludes what that elaboration concludes."""
 
     elaborated: "Derivation" = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elaborated", _expand(self))
-        _Rule.__post_init__(self)
+    def _elaborate_to(self, elaborated: "Derivation") -> None:
+        _set(self, "elaborated", elaborated)
+        _set(self, "judgment", elaborated.judgment)
+        _set(self, "macro", True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MacroInterI(_Macro):
     left: "Derivation"
     right: "Derivation"
 
+    def __init__(self, left: "Derivation", right: "Derivation"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        self._elaborate_to(meet(elaborate(left), elaborate(right)))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class MacroAx(_Macro):
     name: str
     typ: CanonType
+
+    def __init__(self, name: str, typ: CanonType):
+        _set(self, "name", name)
+        _set(self, "typ", typ)
+        self._elaborate_to(var_intro(name, typ))
 
 
 Derivation = Union[
@@ -175,101 +290,6 @@ Derivation = Union[
 def check_derivation(d: Derivation) -> Judgment:
     """The judgment d derives; its rules were checked when it was built."""
     return d.judgment
-
-
-def _conclude(d: Derivation) -> Judgment:
-    """Check the rule at the root of d against its premises' judgments."""
-    match d:
-        case Ax(name, comp):
-            u = CT((), (comp,))
-            key = VarKey(name, ())
-            return Judgment(Var(name, ()), mk_env([(key, u)]), u)
-
-        case OmegaRule(subject):
-            return Judgment(subject, env_omega(subject), omega(subject.degree))
-
-        case ArrI(var, idx, ann, premise):
-            jp = premise.judgment
-            key = VarKey(var, idx)
-            bound = jp.env.get(key)
-            if bound is None:
-                raise RuleError(
-                    "arrI",
-                    f"{var}{index_str(idx)} is not in the premise environment; "
-                    "use arrIW when the binder is not free in the body",
-                )
-            if ann != bound:
-                raise RuleError("arrI", "annotation differs from the premise binding")
-            t = _single(jp.typ, "arrI")
-            return Judgment(
-                Abs(var, idx, jp.subject),
-                env_without(jp.env, key),
-                CT((), (CArrow(bound, t),)),
-            )
-
-        case ArrIW(var, idx, premise):
-            jp = premise.judgment
-            key = VarKey(var, idx)
-            if key in jp.env:
-                raise RuleError("arrIW", f"{var}{index_str(idx)} occurs in the premise environment")
-            t = _single(jp.typ, "arrIW")
-            return Judgment(
-                Abs(var, idx, jp.subject),
-                jp.env,
-                CT((), (CArrow(omega(idx), t),)),
-            )
-
-        case ArrE(fun, arg):
-            jf = fun.judgment
-            ja = arg.judgment
-            tf = _single(jf.typ, "arrE")
-            if not isinstance(tf, CArrow):
-                raise RuleError("arrE", f"left type {print_type(jf.typ)} is not an arrow")
-            if ja.typ != tf.arg:
-                raise RuleError(
-                    "arrE",
-                    f"argument type {print_type(ja.typ)} differs from the arrow "
-                    f"argument {print_type(tf.arg)}",
-                )
-            if not env_joinable(jf.env, ja.env):
-                raise RuleError("arrE", "premise environments disagree on a shared name")
-            return Judgment(
-                App(jf.subject, ja.subject),
-                env_inter(jf.env, ja.env),
-                CT((), (tf.res,)),
-            )
-
-        case InterI(left, right):
-            jl = left.judgment
-            jr = right.judgment
-            if jl.subject != jr.subject:
-                raise RuleError("interI", "premises type different subjects")
-            if jl.env != jr.env:
-                raise RuleError(
-                    "interI",
-                    "premises use different environments; interI' meets them",
-                )
-            return Judgment(jl.subject, jl.env, inter(jl.typ, jr.typ))
-
-        case ExpRule(head, premise):
-            jp = premise.judgment
-            return Judgment(
-                lift(jp.subject, head),
-                env_expand(head, jp.env),
-                expand_type(head, jp.typ),
-            )
-
-        case SubRule(premise, env, typ):
-            jp = premise.judgment
-            target = Judgment(jp.subject, env, typ)
-            if not typing_sub(jp, target):
-                raise RuleError("sub", _sub_diagnosis(jp, target))
-            return target
-
-        case _Macro():
-            return d.elaborated.judgment
-
-    raise AssertionError(d)
 
 
 def _single(u: CanonType, rule: str) -> CanonT:
@@ -320,26 +340,16 @@ def var_intro(name: str, typ: CanonType) -> Derivation:
     return reduce(meet, chains)
 
 
-def _expand(d: _Macro) -> Derivation:
-    """One macro node in primitive rules; its premises are elaborated already."""
-    match d:
-        case MacroAx(name, typ):
-            return var_intro(name, typ)
-        case MacroInterI(left, right):
-            return meet(elaborate(left), elaborate(right))
-    raise AssertionError(d)
-
-
 def elaborate(d: Derivation) -> Derivation:
-    """Expand macro nodes into the primitive rules; macro-free subtrees are
-    returned as they are, and a macro node gives its stored elaboration."""
+    """Expand macro nodes into the primitive rules.  A tree without the macro
+    mark is returned as it is, in O(1); otherwise a macro node gives its
+    stored elaboration and only marked subtrees are rebuilt."""
+    if not d.macro:
+        return d
     if isinstance(d, _Macro):
         return d.elaborated
-    parts = [getattr(d, f) for f in d.__match_args__]
-    new = [elaborate(p) if isinstance(p, _Rule) else p for p in parts]
-    if all(p is q for p, q in zip(parts, new)):
-        return d
-    return type(d)(*new)
+    parts = (getattr(d, f) for f in d.__match_args__)
+    return type(d)(*(elaborate(p) if isinstance(p, _Rule) else p for p in parts))
 
 
 # ---------------------------------------------------------------- parsing

@@ -18,9 +18,16 @@ from .types import (
 from . import sexpr
 
 
-@dataclass(frozen=True, slots=True)
+# sets a slot of a frozen Env or Judgment; only their constructors use it
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Env:
     items: tuple[tuple[VarKey, CanonType], ...]  # sorted by key, keys distinct
+
+    def __init__(self, items: tuple[tuple[VarKey, CanonType], ...]):
+        _set(self, "items", items)
 
     def get(self, key: VarKey) -> CanonType | None:
         for k, u in self.items:
@@ -121,7 +128,7 @@ def env_enlarge(g: Env, keys) -> Env:
 
 
 def env_without(g: Env, key: VarKey) -> Env:
-    return mk_env((k, u) for k, u in g if k != key)
+    return Env(tuple(item for item in g.items if item[0] != key))
 
 
 def env_bind(g: Env, key: VarKey, u: CanonType) -> Env:
@@ -132,11 +139,16 @@ def env_bind(g: Env, key: VarKey, u: CanonType) -> Env:
 # ---------------------------------------------------------------- judgments
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Judgment:
     subject: Term
     env: Env
     typ: CanonType
+
+    def __init__(self, subject: Term, env: Env, typ: CanonType):
+        _set(self, "subject", subject)
+        _set(self, "env", env)
+        _set(self, "typ", typ)
 
 
 def typing_sub(j1: Judgment, j2: Judgment) -> bool:

@@ -1,10 +1,15 @@
 """The s-expression reader behind every parser.
 
-tokenize runs one regex and returns (kind, text, offset) tuples, kind being
-'(' ')' '[' ']' "nat" or "ident".  Whitespace and commas separate tokens, so
-"[3, 2]" reads as "[3 2]".  Naturals are decimal digits of any script that
-int() reads; identifiers start with a letter, '_', '-', '>' or '^' (so "->"
-and "^" are atoms) and go on with those, ASCII digits and "'".
+Tokens are '(' ')' '[' ']', naturals and identifiers.  Whitespace and commas
+separate tokens, so "[3, 2]" reads as "[3 2]".  Naturals are decimal digits
+of any script that int() reads; identifiers start with a letter, '_', '-',
+'>' or '^' (so "->" and "^" are atoms) and go on with those, ASCII digits and
+"'".  Any other character is an error, reported before any structural fault.
+
+The reader scans the token texts with one findall and tells their kinds
+apart by their first character; offsets are computed only for an error
+message, by tokenize, which returns (kind, text, offset) tuples, kind being
+'(' ')' '[' ']' "nat" or "ident", and raises on the first bad character.
 
 The reader keeps open lists on an explicit stack, so nesting costs no
 recursion.  A node is an int, an identifier str, ("index", [int, ...]) for
@@ -18,11 +23,16 @@ import re
 
 from .errors import InputSyntaxError
 
+_PUNCT = r"[()\[\]]"
+_NAT = r"\d+"
+_IDENT = r"[A-Za-z_\->^][A-Za-z0-9_'\->^]*"
 _TOKEN = re.compile(
-    r"[\s,]+|(?P<p>[()\[\]])|(?P<nat>\d+)"
-    r"|(?P<ident>[A-Za-z_\->^][A-Za-z0-9_'\->^]*)|(?P<bad>.)",
-    re.DOTALL,
+    rf"[\s,]+|(?P<p>{_PUNCT})|(?P<nat>{_NAT})|(?P<ident>{_IDENT})|(?P<bad>.)", re.DOTALL
 )
+# the same tokens as _TOKEN, as bare texts: a bad character is a token of
+# its own, which no branch of the reader accepts
+_SCAN = re.compile(rf"{_PUNCT}|{_NAT}|{_IDENT}|[^\s,]")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_->^")
 
 Node = object
 
@@ -42,52 +52,60 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def _fault(text: str, at: int, message: str) -> InputSyntaxError:
+    """The error at token number at: message formatted with the token's text
+    and offset, unless text holds a bad character, which tokenize reports."""
+    _, tok, offset = tokenize(text)[at]
+    return InputSyntaxError(message.format(tok, offset))
+
+
 def _read(text: str, one: bool):
-    toks = tokenize(text)
+    toks = _SCAN.findall(text)
     n = len(toks)
     nodes: list[Node] = []
-    stack: list[tuple[int, list]] = []  # open '(' lists with their offsets
+    stack: list[tuple[int, list]] = []  # open '(' lists with their token numbers
     i = 0
     while i < n:
-        kind, tok, pos = toks[i]
+        tok = toks[i]
         i += 1
-        if kind == "nat":
-            node = int(tok)
-        elif kind == "ident":
-            node = tok
-        elif kind == "(":
-            stack.append((pos, []))
+        if tok == "(":
+            stack.append((i - 1, []))
             continue
-        elif kind == ")" and stack:
+        c = tok[0]
+        if c in _IDENT_START:
+            node = tok
+        elif tok == ")" and stack:
             node = stack.pop()[1]
-        elif kind == "[":
+        elif c.isdecimal():
+            node = int(tok)
+        elif tok == "[":
+            at = i - 1
             entries: list[int] = []
             while True:
                 if i == n:
-                    raise InputSyntaxError(f"unclosed '[' at offset {pos}")
-                kind, tok, at = toks[i]
+                    raise _fault(text, at, "unclosed '[' at offset {1}")
+                tok = toks[i]
                 i += 1
-                if kind == "]":
+                if tok == "]":
                     break
-                if kind != "nat":
-                    raise InputSyntaxError(
-                        f"index entries must be naturals, got {tok!r} at offset {at}"
+                if not tok[0].isdecimal():
+                    raise _fault(
+                        text, i - 1, "index entries must be naturals, got {0!r} at offset {1}"
                     )
                 entries.append(int(tok))
             node = ("index", entries)
         else:
-            raise InputSyntaxError(f"unexpected {tok!r} at offset {pos}")
+            raise _fault(text, i - 1, "unexpected {0!r} at offset {1}")
         if stack:
             stack[-1][1].append(node)
         elif not one:
             nodes.append(node)
         elif i < n:
-            _, tok, pos = toks[i]
-            raise InputSyntaxError(f"trailing input {tok!r} at offset {pos}")
+            raise _fault(text, i, "trailing input {0!r} at offset {1}")
         else:
             return node
     if stack:
-        raise InputSyntaxError(f"unclosed '(' at offset {stack[-1][0]}")
+        raise _fault(text, stack[-1][0], "unclosed '(' at offset {1}")
     if one:
         raise InputSyntaxError("unexpected end of input")
     return nodes

@@ -1,7 +1,8 @@
 """Constructive transformations of checked derivations.
 
 Everything here consumes derivations whose macros are already elaborated (the
-public entry points elaborate first) and builds its output through the rule
+public entry points elaborate first, which costs O(1) on a derivation without
+the macro mark, the usual case) and builds its output through the rule
 constructors, so each new node is checked once, when it is made, and every
 intermediate judgment is read from the node that carries it.
 The exact-subject discipline matters throughout: these builders thread the
@@ -228,7 +229,7 @@ def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: Avoid) -> Derivat
             return dn
 
         case OmegaRule(subject):
-            m2 = substitute(subject, {x: jn.subject})
+            m2 = substitute(subject, {x: jn.subject}, avoid)
             target = env_inter(env_without(env_omega(subject), x), jn.env)
             return sub_to(OmegaRule(m2), target, omega(subject.degree))
 

@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from ikc import derivations
 from ikc.derivations import check_derivation, parse_derivation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -25,6 +27,21 @@ def corpus(corpus_files):
         d = parse_derivation(p.read_text())
         out.append((p.stem, d, check_derivation(d)))
     return out
+
+
+@pytest.fixture
+def rule_checks(monkeypatch):
+    """A list that gains one entry per rule check: each rule constructor,
+    macros included, checks its one rule when it is called."""
+    checks = []
+    for cls in get_args(derivations.Derivation):
+
+        def counting(self, *args, _init=cls.__init__):
+            checks.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return checks
 
 
 @pytest.fixture(scope="session")

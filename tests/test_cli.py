@@ -119,6 +119,18 @@ def test_sr_transports(capsys):
     assert out.startswith("(judg y[]")
 
 
+def test_sr_renames_under_an_omega_rule_like_the_reduct(capsys):
+    deriv = (
+        "(arrE (arrI x [] (-> a b) (arrE (arrIW y [] (arrIW _r0 [] (ax x (-> a b))))"
+        " (w (lam y [] x[])))) (ax y (-> a b)))"
+    )
+    reduct = "(app (lam _r1 [] (lam _r0 [] y[])) (lam _r1 [] y[]))"
+    code, out, err = run(capsys, "sr", deriv, "--rel", "beta", "--", reduct)
+    assert code == 0
+    assert out == f"(judg {reduct} ((y [] (-> a b))) (-> (w []) (-> a b)))\n"
+    assert err == ""
+
+
 def test_oracle_member(capsys):
     code, out, _ = run(capsys, "oracle", "id0", "(lam y [] y[])")
     assert code == 0

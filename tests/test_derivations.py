@@ -1,3 +1,5 @@
+from typing import get_args
+
 import pytest
 
 from ikc import derivations
@@ -23,7 +25,7 @@ from ikc.derivations import (
 from ikc.envs import parse_env, print_judgment
 from ikc.errors import RuleError
 from ikc.syntax import parse_term
-from ikc.types import CAtom, parse_type
+from ikc.types import CanonType, CArrow, CAtom, parse_type
 
 
 def pt(s):
@@ -132,28 +134,106 @@ def test_macro_inter_i_meets_envs():
     assert check(d) == "(judg x[] ((x [] (^ a (-> b b)))) (^ a (-> b b)))"
 
 
-def _conclusions_to_parse_nested_meets(k, monkeypatch):
+def _checks_to_parse_nested_meets(k, rule_checks):
     text = "(ax' x a)"
     for _ in range(k):
         text = f"(interI' (ax' x a) {text})"
-    count = 0
-    conclude = derivations._conclude
-
-    def counting(d):
-        nonlocal count
-        count += 1
-        return conclude(d)
-
-    monkeypatch.setattr(derivations, "_conclude", counting)
+    rule_checks.clear()
     d = parse_derivation(text)
-    monkeypatch.undo()
+    count = len(rule_checks)
     assert print_derivation(d) == text
     return count
 
 
-def test_nested_macros_elaborate_once(monkeypatch):
-    counts = [_conclusions_to_parse_nested_meets(k, monkeypatch) for k in (8, 16, 32)]
+def test_nested_macros_elaborate_once(rule_checks):
+    counts = [_checks_to_parse_nested_meets(k, rule_checks) for k in (8, 16, 32)]
     assert all(0 < b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
+
+# ---------------------------------------------------------------- macro mark
+
+
+_RULES = get_args(derivations.Derivation)
+_MACROS = (MacroAx, MacroInterI)
+
+
+def _premises(d):
+    return [p for p in (getattr(d, f) for f in d.__match_args__) if isinstance(p, _RULES)]
+
+
+def _macro_nodes(d):
+    """The macro nodes of d, by a full walk that ignores the mark."""
+    out, stack = [], [d]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, _MACROS):
+            out.append(t)
+        stack += _premises(t)
+    return out
+
+
+@pytest.fixture
+def elaborate_calls(monkeypatch):
+    """A list that gains one entry per elaborate call, recursive ones included."""
+    calls = []
+    elaborate = derivations.elaborate
+
+    def counting(d):
+        calls.append(d)
+        return elaborate(d)
+
+    monkeypatch.setattr(derivations, "elaborate", counting)
+    return calls
+
+
+def test_macro_free_derivation_elaborates_to_itself_at_once(corpus, elaborate_calls):
+    for name, d, _ in corpus:
+        e = derivations.elaborate(d)
+        assert not e.macro and not _macro_nodes(e), name
+        elaborate_calls.clear()
+        assert derivations.elaborate(e) is e, name
+        assert len(elaborate_calls) == 1, name
+
+
+def test_macro_mark_is_set_exactly_over_macro_nodes(corpus):
+    for name, d, _ in corpus:
+        stack = [d]
+        while stack:
+            t = stack.pop()
+            assert t.macro == bool(_macro_nodes(t)), name
+            stack += _premises(t)
+
+
+def _bury(d, rounds):
+    """d under rounds of exp, interI, sub, interI', arrE, arrI and arrIW."""
+    b = CAtom("b")
+    for i in range(rounds):
+        d = ExpRule(1, d)
+        d = InterI(d, d)
+        d = SubRule(d, d.judgment.env, d.judgment.typ)
+        d = MacroInterI(d, d)
+        f_type = CanonType((), (CArrow(d.judgment.typ, b),))
+        d = ArrE(var_intro(f"f{i}", f_type), d)
+        d = ArrI(f"f{i}", (), f_type, d)
+        d = ArrIW(f"z{i}", (), d)
+    return d
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 6])
+def test_buried_ax_prime_elaborates(rounds):
+    d = _bury(MacroAx("x", pt("(^ a (-> a a))")), rounds)
+    e = elaborate(d)
+    assert d.macro and not e.macro and not _macro_nodes(e)
+    assert e.judgment == d.judgment
+
+
+def test_elaborate_keeps_unmarked_subtrees():
+    plain = ArrI("y", (), pt("a"), var_intro("y", pt("a")))
+    d = ArrE(var_intro("f", pt("(-> (-> a a) b)")), MacroInterI(plain, plain))
+    assert not d.fun.macro and d.arg.macro and d.macro
+    e = elaborate(d)
+    assert e.fun is d.fun
+    assert e.arg is d.arg.elaborated
 
 
 def test_meet_rejects_different_subjects():

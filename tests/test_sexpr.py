@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ikc import sexpr
 from ikc.errors import DegreeError, InputSyntaxError
@@ -81,3 +84,116 @@ def test_type_faults_are_reported_left_to_right():
     with pytest.raises(DegreeError) as e:
         parse_type("(-> (^ a (e 1 b)) (^ a b))")
     assert str(e.value) == "intersection of degrees [] and [1]"
+
+
+# ---------------------------------------------------------------- differential
+
+
+def _reference_read(text, one):
+    """The reader as it was when it walked tokenize's (kind, text, offset)
+    tuples: every node and error text of sexpr.read/read_one must match it."""
+    toks = sexpr.tokenize(text)
+    n = len(toks)
+    nodes = []
+    stack = []  # open '(' lists with their offsets
+    i = 0
+    while i < n:
+        kind, tok, pos = toks[i]
+        i += 1
+        if kind == "nat":
+            node = int(tok)
+        elif kind == "ident":
+            node = tok
+        elif kind == "(":
+            stack.append((pos, []))
+            continue
+        elif kind == ")" and stack:
+            node = stack.pop()[1]
+        elif kind == "[":
+            entries = []
+            while True:
+                if i == n:
+                    raise InputSyntaxError(f"unclosed '[' at offset {pos}")
+                kind, tok, at = toks[i]
+                i += 1
+                if kind == "]":
+                    break
+                if kind != "nat":
+                    raise InputSyntaxError(
+                        f"index entries must be naturals, got {tok!r} at offset {at}"
+                    )
+                entries.append(int(tok))
+            node = ("index", entries)
+        else:
+            raise InputSyntaxError(f"unexpected {tok!r} at offset {pos}")
+        if stack:
+            stack[-1][1].append(node)
+        elif not one:
+            nodes.append(node)
+        elif i < n:
+            _, tok, pos = toks[i]
+            raise InputSyntaxError(f"trailing input {tok!r} at offset {pos}")
+        else:
+            return node
+    if stack:
+        raise InputSyntaxError(f"unclosed '(' at offset {stack[-1][0]}")
+    if one:
+        raise InputSyntaxError("unexpected end of input")
+    return nodes
+
+
+_OPEN, _CLOSE = object(), object()
+
+
+def _flat(node):
+    """node as a flat list, lists bracketed by markers, so that deep nodes
+    compare without recursion."""
+    out, stack = [], [node]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, list):
+            out.append(_OPEN)
+            stack.append(_CLOSE)
+            stack += reversed(t)
+        else:
+            out.append(t)
+    return out
+
+
+def _outcome(read, *args):
+    try:
+        return "node", _flat(read(*args))
+    except Exception as e:  # the type and the text are compared
+        return type(e), str(e)
+
+
+def _assert_reads_like_the_reference(text):
+    assert _outcome(sexpr.read, text) == _outcome(_reference_read, text, False)
+    assert _outcome(sexpr.read_one, text) == _outcome(_reference_read, text, True)
+
+
+_ALPHABET = "()[] ,\t\nax->^_'019\u0663\u00b2#\u00e9"
+_DEEP = "(" * 3000 + "x[0]" + ")" * 3000
+
+
+@settings(max_examples=3000, derandomize=True, deadline=None)
+@given(st.text(alphabet=_ALPHABET, max_size=40))
+@example("(a) , \t\n")  # trailing separators
+@example("x[] ,")
+@example("(a ])#")  # a bad character after a structural fault
+@example("(a (b \u00b2")
+@example("[1 x] \u00e9")
+@example("a b #")
+@example(_DEEP)
+@example(_DEEP + " )")
+@example(_DEEP[:-1])
+@example(_DEEP + "\u00b2")
+def test_reader_matches_the_reference(text):
+    _assert_reads_like_the_reference(text)
+
+
+def test_reader_matches_the_reference_on_the_corpus():
+    files = sorted((Path(__file__).resolve().parent.parent / "corpus").iterdir())
+    assert files
+    for p in files:
+        _assert_reads_like_the_reference(p.read_text())

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from ikc import derivations, transform
+from ikc import transform
 from ikc.derivations import (
     ArrE,
     ArrI,
@@ -14,7 +16,7 @@ from ikc.derivations import (
 )
 from ikc.envs import Judgment, env_empty, print_judgment
 from ikc.errors import NotAnExpansionError, NotAReductError, PreconditionError
-from ikc.reduction import Relation
+from ikc.reduction import Relation, step_positions
 from ikc.search import Found, bounded_typecheck
 from ikc.syntax import VarKey, parse_term, print_term, substitute
 from ikc.transform import (
@@ -117,8 +119,18 @@ def test_subst_derivation_renames_clashing_binders():
             var_intro("y", pt("(-> a b)")),
             "(app (lam _r0 [] y[]) (lam _r0 [] y[]))",
         ),
+        # a clash under an omega rule, beside a binder named _r0: the omega
+        # subject renames through the same Avoid as the rest of the term
+        (
+            ArrE(
+                ArrIW("y", (), ArrIW("_r0", (), var_intro("x", pt("(-> a b)")))),
+                OmegaRule(parse_term("(lam y [] x[])")),
+            ),
+            var_intro("y", pt("(-> a b)")),
+            "(app (lam _r1 [] (lam _r0 [] y[])) (lam _r1 [] y[]))",
+        ),
     ],
-    ids=["nested", "siblings"],
+    ids=["nested", "siblings", "omega-beside-r0"],
 )
 def test_subst_derivation_renames_like_term_substitution(dm, dn, want):
     x = VarKey("x", ())
@@ -148,6 +160,22 @@ def test_subject_reduce_eta():
     d = parse_derivation("(arrI x [] a (arrE (ax' y (-> a a)) (ax' x a)))")
     out = subject_reduce(d, parse_term("y[]"), Relation.ETA)
     assert pj(out) == "(judg y[] ((y [] (-> a a))) (-> a a))"
+
+
+def test_subject_reduce_renames_under_an_omega_rule_like_the_reduct():
+    ab = pt("(-> a b)")
+    body = ArrE(
+        ArrIW("y", (), ArrIW("_r0", (), var_intro("x", ab))),
+        OmegaRule(parse_term("(lam y [] x[])")),
+    )
+    d = ArrE(ArrI("x", (), ab, body), var_intro("y", ab))
+    reduct = parse_term("(app (lam _r1 [] (lam _r0 [] y[])) (lam _r1 [] y[]))")
+    out = subject_reduce(d, reduct, Relation.BETA)
+    assert check_derivation(out).subject == reduct
+    assert print_derivation(out) == (
+        "(arrE (arrIW _r1 [] (arrIW _r0 [] (ax y (-> a b))))"
+        " (sub (w (lam _r1 [] y[])) ((y [] (-> a b))) (w [])))"
+    )
 
 
 def test_subject_reduce_restricts_env_on_variable_loss():
@@ -242,6 +270,26 @@ def test_expand_then_reduce_round_trip(corpus):
         assert check_derivation(back) == j
 
 
+def test_corpus_transports_print_as_pinned(corpus):
+    # every one-step reduct of each certificate under beta and betaeta, and an
+    # expansion through (lam f0 f0[]) and back; the digest pins the printed
+    # derivations, so a change in any transport's output shows here
+    from ikc.syntax import Abs, App, Var
+
+    lines = []
+    for _, d, j in corpus:
+        m = j.subject
+        for rel in (Relation.BETA, Relation.BETAETA):
+            for _, _, r in step_positions(m, rel):
+                lines.append(print_derivation(subject_reduce(d, r, rel)))
+        e = subject_expand_beta(d, App(Abs("f0", m.degree, Var("f0", m.degree)), m))
+        lines.append(print_derivation(e))
+        lines.append(print_derivation(subject_reduce(e, m, Relation.BETA)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 78
+    assert digest == "9ebcf965ca7fb6101e35d844d876e563a31d4b3d7d5b2ca537bdc7cdb592973f"
+
+
 def test_subject_expand_lifted():
     d = parse_derivation("(exp 1 (ax' y a))")
     src = parse_term("(app (lam x [1] x[1]) y[1])")
@@ -258,33 +306,25 @@ def test_subject_expand_reintroduces_a_binder_at_omega():
 # ---------------------------------------------------------------- cost
 
 
-def _conclusions_to_reduce_under(n, monkeypatch):
-    """Rule conclusions computed while contracting the redex
-    (app (lam x [] x[]) y[]) nested under n applications of f[]."""
+def _checks_to_reduce_under(n, rule_checks):
+    """Rule checks made while contracting the redex (app (lam x [] x[]) y[])
+    nested under n applications of f[]."""
     a, aa = pt("a"), pt("(-> a a)")
     d = ArrE(ArrI("x", (), a, var_intro("x", a)), var_intro("y", a))
     reduct = "y[]"
     for _ in range(n):
         d = ArrE(var_intro("f", aa), d)
         reduct = f"(app f[] {reduct})"
-    count = 0
-    conclude = derivations._conclude
-
-    def counting(d):
-        nonlocal count
-        count += 1
-        return conclude(d)
-
-    monkeypatch.setattr(derivations, "_conclude", counting)
+    rule_checks.clear()
     out = subject_reduce(d, parse_term(reduct), Relation.BETA)
-    monkeypatch.undo()
+    count = len(rule_checks)
     assert check_derivation(out) == Judgment(parse_term(reduct), d.judgment.env, a)
     return count
 
 
-def test_transport_checks_each_new_node_once(monkeypatch):
-    small = _conclusions_to_reduce_under(32, monkeypatch)
-    big = _conclusions_to_reduce_under(64, monkeypatch)
+def test_transport_checks_each_new_node_once(rule_checks):
+    small = _checks_to_reduce_under(32, rule_checks)
+    big = _checks_to_reduce_under(64, rule_checks)
     assert 0 < big <= 2.2 * small
 
 
