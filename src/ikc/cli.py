@@ -283,99 +283,45 @@ def _build_parser() -> argparse.ArgumentParser:
         "intersection types and expansion heads",
     )
     sub = top.add_subparsers(dest="verb", required=True)
+    rels = [r.value for r in Relation]
 
-    p = sub.add_parser("check-term")
-    p.add_argument("term")
-    p.set_defaults(handler=_cmd_check_term)
+    def verb(name, handler, *positionals, **options):
+        """Add a verb: its positionals, then its options in the order given.
+        A name ending in * takes any number of words; an int default makes an
+        int option, ... a required one, and --rel takes a relation name."""
+        p = sub.add_parser(name)
+        for arg in positionals:
+            p.add_argument(arg.rstrip("*"), nargs="*" if arg.endswith("*") else None)
+        for opt, default in options.items():
+            if default is ...:
+                p.add_argument(f"--{opt}", required=True)
+            else:
+                p.add_argument(
+                    f"--{opt}",
+                    default=default,
+                    type=int if isinstance(default, int) else None,
+                    choices=rels if opt == "rel" else None,
+                )
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("reduce")
-    p.add_argument("term")
-    p.add_argument("--rel", default="beta", choices=[r.value for r in Relation])
-    p.add_argument("--fuel", type=int, default=min(fuel, 100))
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("nf")
-    p.add_argument("term")
-    p.add_argument("--rel", default="beta", choices=[r.value for r in Relation])
-    p.add_argument("--fuel", type=int, default=fuel)
-    p.set_defaults(handler=_cmd_nf)
-
-    p = sub.add_parser("equiv")
-    p.add_argument("term")
-    p.add_argument("other")
-    p.add_argument("--rel", default="beta", choices=[r.value for r in Relation])
-    p.add_argument("--fuel", type=int, default=fuel)
-    p.set_defaults(handler=_cmd_equiv)
-
-    p = sub.add_parser("confluence")
-    p.add_argument("term")
-    p.add_argument("--rel", default="beta", choices=[r.value for r in Relation])
-    p.add_argument("--size", type=int, default=3)
-    p.set_defaults(handler=_cmd_confluence)
-
-    p = sub.add_parser("subtype")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_subtype)
-
-    p = sub.add_parser("check-deriv")
-    p.add_argument("deriv")
-    p.set_defaults(handler=_cmd_check_deriv)
-
-    p = sub.add_parser("sr")
-    p.add_argument("deriv")
-    p.add_argument("term")
-    p.add_argument("--rel", default="betaeta", choices=[r.value for r in Relation])
-    p.add_argument("--fuel", type=int, default=fuel)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_transport)
-
-    p = sub.add_parser("expand")
-    p.add_argument("deriv")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=fuel)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_transport)
-
-    p = sub.add_parser("typecheck")
-    p.add_argument("term")
-    p.add_argument("--env", default="")
-    p.add_argument("--type", required=True)
-    p.add_argument("--fuel", type=int, default=max(fuel, 100000))
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_typecheck)
-
-    p = sub.add_parser("oracle")
-    p.add_argument("tag")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=2000)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("soundness")
-    p.add_argument("deriv")
-    p.add_argument("tag")
-    p.add_argument("--fuel", type=int, default=2000)
-    p.set_defaults(handler=_cmd_soundness)
-
-    p = sub.add_parser("completeness")
-    p.add_argument("tag")
-    p.add_argument("--size", type=int, default=7)
-    p.add_argument("--fuel", type=int, default=max(fuel, 100000))
-    p.set_defaults(handler=_cmd_completeness)
-
-    p = sub.add_parser("saturation")
-    p.add_argument("tag")
-    p.add_argument("--size", type=int, default=7)
-    p.add_argument("--rel", default="beta", choices=[r.value for r in Relation])
-    p.add_argument("--fuel", type=int, default=2000)
-    p.set_defaults(handler=_cmd_saturation)
-
-    p = sub.add_parser("props")
-    p.add_argument("suite", nargs="*")
-    p.add_argument("--size", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_props)
-
+    verb("check-term", _cmd_check_term, "term")
+    verb("reduce", _cmd_reduce, "term", rel="beta", fuel=min(fuel, 100))
+    verb("nf", _cmd_nf, "term", rel="beta", fuel=fuel)
+    verb("equiv", _cmd_equiv, "term", "other", rel="beta", fuel=fuel)
+    verb("confluence", _cmd_confluence, "term", rel="beta", size=3)
+    verb("subtype", _cmd_subtype, "left", "right")
+    verb("check-deriv", _cmd_check_deriv, "deriv")
+    verb("sr", _cmd_transport, "deriv", "term", rel="betaeta", fuel=fuel, out=None)
+    verb("expand", _cmd_transport, "deriv", "term", fuel=fuel, out=None)
+    verb(
+        "typecheck", _cmd_typecheck, "term",
+        env="", type=..., fuel=max(fuel, 100000), out=None,
+    )
+    verb("oracle", _cmd_oracle, "tag", "term", fuel=2000)
+    verb("soundness", _cmd_soundness, "deriv", "tag", fuel=2000)
+    verb("completeness", _cmd_completeness, "tag", size=7, fuel=max(fuel, 100000))
+    verb("saturation", _cmd_saturation, "tag", size=7, rel="beta", fuel=2000)
+    verb("props", _cmd_props, "suite*", size=4, seed=0)
     return top
 
 

@@ -36,18 +36,17 @@ _NAMES = ("x", "y", "z")
 _INDEXES: tuple[Index, ...] = ((), (1,))
 
 
-def enumerate_terms(max_size: int, indexes: tuple[Index, ...] = _INDEXES) -> list[Term]:
-    """All well-formed terms of size <= max_size over x, y, z and the given
-    indexes."""
-    by_size: list[list[Term]] = [[]]
-    by_size.append([Var(n, i) for n in _NAMES for i in indexes])
+def enumerate_terms(max_size: int) -> list[Term]:
+    """All well-formed terms of size <= max_size over x, y, z and the
+    indexes [] and [1]."""
+    binders = [(n, i) for n in _NAMES for i in _INDEXES]
+    by_size: list[list[Term]] = [[], [Var(n, i) for n, i in binders]]
     for size in range(2, max_size + 1):
         layer: list[Term] = []
         for body in by_size[size - 1]:
-            for n in _NAMES:
-                for i in indexes:
-                    if prefix_leq(body.degree, i):
-                        layer.append(Abs(n, i, body))
+            for n, i in binders:
+                if prefix_leq(body.degree, i):
+                    layer.append(Abs(n, i, body))
         for fsize in range(1, size - 1):
             for f in by_size[fsize]:
                 for a in by_size[size - 1 - fsize]:

@@ -357,8 +357,10 @@ def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:
             return App(_subst(fun, live, avoid), _subst(arg, live, avoid))
         case Abs(var, idx, body):
             if any(var in n._fv for n in live.values()):
+                # rename the binder in the same pass: f is fresh, so no
+                # replacement mentions it and no binder below captures it
                 f, avoid = avoid.fresh()
-                body = _subst(body, {VarKey(var, idx): Var(f, idx)}, avoid)
+                live[VarKey(var, idx)] = Var(f, idx)
                 return Abs(f, idx, _subst(body, live, avoid))
             return Abs(var, idx, _subst(body, live, avoid))
     raise AssertionError(m)
@@ -377,13 +379,6 @@ def lift(m: Term, i: int) -> Term:
         case App(fun, arg):
             return App(lift(fun, i), lift(arg, i))
     raise AssertionError(m)
-
-
-def lift_seq(m: Term, k: Index) -> Term:
-    """Lift so that degree(lift_seq(m, k)) = k + degree(m)."""
-    for i in reversed(k):
-        m = lift(m, i)
-    return m
 
 
 def lower(m: Term, i: int) -> Term:

@@ -78,6 +78,7 @@ from .derivations import (
     OmegaRule,
     SubRule,
     elaborate,
+    meet,
     sub_to,
     var_intro,
 )
@@ -553,10 +554,7 @@ def _split(
                 env_inter(env_without(jp1.env, x), env_without(jp2.env, x)), x, v
             )
             dp = InterI(sub_to(dp1, ep, jp1.typ), sub_to(dp2, ep, jp2.typ))
-            jq1, jq2 = dq1.judgment, dq2.judgment
-            eq = env_inter(jq1.env, jq2.env)
-            dq = InterI(sub_to(dq1, eq, v1), sub_to(dq2, eq, v2))
-            return v, dp, dq
+            return v, dp, meet(dq1, dq2)
 
         case ExpRule(head, premise):
             assert x.idx and x.idx[0] == head
@@ -586,10 +584,7 @@ def _split(
                 e1 = env_bind(env_without(ja1.env, x), x, v)
                 e2 = env_bind(env_without(ja2.env, x), x, v)
                 dp = ArrE(sub_to(dpa, e1, ja1.typ), sub_to(dpb, e2, ja2.typ))
-                jq1, jq2 = dqa.judgment, dqb.judgment
-                eq = env_inter(jq1.env, jq2.env)
-                dq = InterI(sub_to(dqa, eq, v1), sub_to(dqb, eq, v2))
-                return v, dp, dq
+                return v, dp, meet(dqa, dqb)
             if in1:
                 v, dpa, dq = _split(fun, x, p1, q)
                 return v, ArrE(dpa, arg), dq

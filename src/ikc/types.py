@@ -160,10 +160,6 @@ def expand_type(i: int, u: CanonType) -> CanonType:
     return CanonType((i,) + u.prefix, u.comps)
 
 
-def expand_seq(k: Index, u: CanonType) -> CanonType:
-    return CanonType(k + u.prefix, u.comps)
-
-
 def lower_type(u: CanonType, k: Index) -> CanonType:
     if not prefix_leq(k, u.prefix):
         raise DegreeError(

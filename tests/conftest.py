@@ -1,10 +1,7 @@
-import sys
 from pathlib import Path
 from typing import get_args
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ikc import derivations
 from ikc.derivations import check_derivation, parse_derivation

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ikc.cli import main
+from ikc.cli import _build_parser, main
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -227,6 +227,225 @@ def test_help_still_exits_zero(capsys):
         main(["-h"])
     assert e.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ikc")
+
+
+# the help texts, at 80 columns, pin each verb's arguments: names, order,
+# choices and which are required
+_HELP = {
+    "": """\
+usage: ikc [-h]
+           {check-term,reduce,nf,equiv,confluence,subtype,check-deriv,sr,expand,typecheck,oracle,soundness,completeness,saturation,props}
+           ...
+
+kernel for a degree-indexed lambda-calculus with intersection types and
+expansion heads
+
+positional arguments:
+  {check-term,reduce,nf,equiv,confluence,subtype,check-deriv,sr,expand,typecheck,oracle,soundness,completeness,saturation,props}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check-term": """\
+usage: ikc check-term [-h] term
+
+positional arguments:
+  term
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "reduce": """\
+usage: ikc reduce [-h] [--rel {beta,eta,betaeta,h}] [--fuel FUEL] term
+
+positional arguments:
+  term
+
+options:
+  -h, --help            show this help message and exit
+  --rel {beta,eta,betaeta,h}
+  --fuel FUEL
+""",
+    "nf": """\
+usage: ikc nf [-h] [--rel {beta,eta,betaeta,h}] [--fuel FUEL] term
+
+positional arguments:
+  term
+
+options:
+  -h, --help            show this help message and exit
+  --rel {beta,eta,betaeta,h}
+  --fuel FUEL
+""",
+    "equiv": """\
+usage: ikc equiv [-h] [--rel {beta,eta,betaeta,h}] [--fuel FUEL] term other
+
+positional arguments:
+  term
+  other
+
+options:
+  -h, --help            show this help message and exit
+  --rel {beta,eta,betaeta,h}
+  --fuel FUEL
+""",
+    "confluence": """\
+usage: ikc confluence [-h] [--rel {beta,eta,betaeta,h}] [--size SIZE] term
+
+positional arguments:
+  term
+
+options:
+  -h, --help            show this help message and exit
+  --rel {beta,eta,betaeta,h}
+  --size SIZE
+""",
+    "subtype": """\
+usage: ikc subtype [-h] left right
+
+positional arguments:
+  left
+  right
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "check-deriv": """\
+usage: ikc check-deriv [-h] deriv
+
+positional arguments:
+  deriv
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "sr": """\
+usage: ikc sr [-h] [--rel {beta,eta,betaeta,h}] [--fuel FUEL] [--out OUT]
+              deriv term
+
+positional arguments:
+  deriv
+  term
+
+options:
+  -h, --help            show this help message and exit
+  --rel {beta,eta,betaeta,h}
+  --fuel FUEL
+  --out OUT
+""",
+    "expand": """\
+usage: ikc expand [-h] [--fuel FUEL] [--out OUT] deriv term
+
+positional arguments:
+  deriv
+  term
+
+options:
+  -h, --help   show this help message and exit
+  --fuel FUEL
+  --out OUT
+""",
+    "typecheck": """\
+usage: ikc typecheck [-h] [--env ENV] --type TYPE [--fuel FUEL] [--out OUT]
+                     term
+
+positional arguments:
+  term
+
+options:
+  -h, --help   show this help message and exit
+  --env ENV
+  --type TYPE
+  --fuel FUEL
+  --out OUT
+""",
+    "oracle": """\
+usage: ikc oracle [-h] [--fuel FUEL] tag term
+
+positional arguments:
+  tag
+  term
+
+options:
+  -h, --help   show this help message and exit
+  --fuel FUEL
+""",
+    "soundness": """\
+usage: ikc soundness [-h] [--fuel FUEL] deriv tag
+
+positional arguments:
+  deriv
+  tag
+
+options:
+  -h, --help   show this help message and exit
+  --fuel FUEL
+""",
+    "completeness": """\
+usage: ikc completeness [-h] [--size SIZE] [--fuel FUEL] tag
+
+positional arguments:
+  tag
+
+options:
+  -h, --help   show this help message and exit
+  --size SIZE
+  --fuel FUEL
+""",
+    "saturation": """\
+usage: ikc saturation [-h] [--size SIZE] [--rel {beta,eta,betaeta,h}]
+                      [--fuel FUEL]
+                      tag
+
+positional arguments:
+  tag
+
+options:
+  -h, --help            show this help message and exit
+  --size SIZE
+  --rel {beta,eta,betaeta,h}
+  --fuel FUEL
+""",
+    "props": """\
+usage: ikc props [-h] [--size SIZE] [--seed SEED] [suite ...]
+
+positional arguments:
+  suite
+
+options:
+  -h, --help   show this help message and exit
+  --size SIZE
+  --seed SEED
+""",
+}
+
+
+def test_help_texts_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for verb, text in _HELP.items():
+        with pytest.raises(SystemExit) as e:
+            main([verb, "--help"] if verb else ["--help"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out == text, verb
+
+
+def test_fuel_defaults_follow_ikc_fuel(monkeypatch):
+    # reduce caps IKC_FUEL at 100, the search verbs raise it to 100000 and
+    # the oracle verbs ignore it
+    monkeypatch.setenv("IKC_FUEL", "500")
+    for argv, fuel in [
+        ("reduce t", 100),
+        ("nf t", 500),
+        ("equiv t u", 500),
+        ("sr d t", 500),
+        ("expand d t", 500),
+        ("typecheck t --type a", 100000),
+        ("completeness g", 100000),
+        ("oracle g t", 2000),
+        ("soundness d g", 2000),
+        ("saturation g", 2000),
+    ]:
+        assert _build_parser().parse_args(argv.split()).fuel == fuel, argv
 
 
 def test_check_deriv_rule_violation_is_invalid(capsys):

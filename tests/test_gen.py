@@ -29,11 +29,6 @@ def test_terms_are_distinct_and_bounded():
     assert all(term_size(m) <= 4 for m in pool)
 
 
-def test_terms_use_requested_indexes_only():
-    for m in enumerate_terms(3, indexes=((),)):
-        assert m.degree == ()
-
-
 # ---------------------------------------------------------------- closed terms
 
 

@@ -27,7 +27,6 @@ from ikc.syntax import (
     is_eta_redex,
     joinable,
     lift,
-    lift_seq,
     lower,
     lower_seq,
     parse_term,
@@ -242,15 +241,7 @@ def test_parse_rejects_ill_formed_degrees():
 def test_lift_lower_inverse(seed, i):
     m = rand(seed)
     assert lower(lift(m, i), i) == m
-
-
-@given(st.integers(0, 50))
-def test_lift_seq_degree(seed):
-    m = rand(seed)
-    k = (3, 1)
-    up = lift_seq(m, k)
-    assert up.degree == k + m.degree
-    assert lower_seq(up, k) == m
+    assert lower_seq(lift(lift(m, i), 3), (3, i)) == m
 
 
 def test_lift_prepends_everywhere():

@@ -17,7 +17,6 @@ from ikc.types import (
     arrow,
     atom,
     comp_leq,
-    expand_seq,
     expand_type,
     inter,
     lower_type,
@@ -74,12 +73,6 @@ def test_arrow_requires_bare_result():
 def test_degree_is_prefix():
     assert pt("(e 3 (e 2 d))").degree == (3, 2)
     assert pt("a").degree == ()
-
-
-def test_expand_seq_degree():
-    u = expand_seq((3, 2), pt("a"))
-    assert u.degree == (3, 2)
-    assert u == pt("(e 3 (e 2 a))")
 
 
 # ---------------------------------------------------------------- subtyping
