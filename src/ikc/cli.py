@@ -234,12 +234,8 @@ def _cmd_completeness(ns) -> int:
 def _cmd_saturation(ns) -> int:
     tag = _tag(ns)
     degree = EXAMPLE_TYPES[tag].degree
-    members = [
-        m
-        for m in enumerate_closed(ns.size, degree=degree)
-        if oracle_membership(tag, m, ns.fuel).member
-    ]
     ambient = enumerate_closed(ns.size + 2, degree=degree)
+    members = [m for m in ambient if oracle_membership(tag, m, ns.fuel).member]
     report = saturation_check(members, ambient, Relation(ns.rel), 3)
     for m, hit in report.violations[:10]:
         print(f"{print_term(m)}\tescapes\treaches {print_term(hit)}")

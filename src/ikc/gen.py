@@ -9,6 +9,7 @@ representative per alpha class.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .syntax import (
     Abs,
@@ -16,10 +17,8 @@ from .syntax import (
     Index,
     Term,
     Var,
-    is_closed,
     joinable,
     prefix_leq,
-    term_size,
 )
 from .types import (
     CanonT,
@@ -57,46 +56,36 @@ def enumerate_terms(max_size: int) -> list[Term]:
 
 
 def enumerate_closed(max_size: int, degree: Index | None = None) -> list[Term]:
-    """All closed terms of size <= max_size, one per alpha class.
+    """All closed terms of size <= max_size, one per alpha class, by size.
 
     Binders are named by nesting depth (v0, v1, ...), so distinct terms in
     the output are never alpha-equivalent.  When degree is given, only terms
     of exactly that degree are returned.
     """
-    cache: dict[tuple[int, tuple], list[Term]] = {}
-
+    @cache
     def go(size: int, bound: tuple[tuple[str, Index], ...]) -> list[Term]:
-        key = (size, bound)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out: list[Term] = []
-        if size >= 1:
-            out.extend(Var(n, i) for n, i in bound)
-        if size >= 2:
-            depth = len(bound)
-            name = f"v{depth}"
-            for i in _INDEXES:
-                for body in go(size - 1, bound + ((name, i),)):
-                    if prefix_leq(body.degree, i):
-                        out.append(Abs(name, i, body))
-            for fsize in range(1, size - 1):
-                for f in go(fsize, bound):
-                    for a in go(size - 1 - fsize, bound):
-                        if prefix_leq(f.degree, a.degree):
-                            out.append(App(f, a))
-        cache[key] = out
+        """The terms of exactly this size over the variables in bound."""
+        if size == 1:
+            return [Var(n, i) for n, i in bound]
+        out = []
+        name = f"v{len(bound)}"
+        for i in _INDEXES:
+            for body in go(size - 1, bound + ((name, i),)):
+                if prefix_leq(body.degree, i):
+                    out.append(Abs(name, i, body))
+        for fsize in range(1, size - 1):
+            for f in go(fsize, bound):
+                for a in go(size - 1 - fsize, bound):
+                    if prefix_leq(f.degree, a.degree):
+                        out.append(App(f, a))
         return out
 
-    seen: set[Term] = set()
-    result = []
-    for m in go(max_size, ()):
-        if m not in seen and is_closed(m):
-            seen.add(m)
-            if degree is None or m.degree == degree:
-                result.append(m)
-    result.sort(key=term_size)
-    return result
+    return [
+        m
+        for size in range(1, max_size + 1)
+        for m in go(size, ())
+        if degree is None or m.degree == degree
+    ]
 
 
 def random_term(rng: random.Random, size: int) -> Term:

@@ -51,7 +51,7 @@ from .syntax import (
     VarKey,
     free_vars,
     index_str,
-    lower_seq,
+    lower,
     print_term,
     term_size,
 )
@@ -219,7 +219,7 @@ class _Searcher:
         k = u.degree
         if k:
             # type the subject lowered to degree [] and factor through (e)
-            low = self.goal(lower_seq(m, k), env_lower(g, k), lower_type(u, k))
+            low = self.goal(lower(m, k), env_lower(g, k), lower_type(u, k))
             match low:
                 case Found(d):
                     for j in reversed(k):

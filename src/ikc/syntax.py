@@ -28,6 +28,10 @@ skips a redex-free subtree without walking it, needs no recursion, and
 answers on a normal form in O(1).  A variable contains no redex, so Var's
 mask is the class constant 0.
 
+lift and lower map every Index by one explicit-stack walk; lower strips a
+whole prefix, like types.lower_type.  alpha_canon is read back from alpha_key,
+whose one walk numbers the binders.  print_term, substitute and term_at recurse.
+
 Each node class writes its own __init__, which checks formation and sets
 every slot in one pass; the dataclass still gives equality, hashing, repr
 and __match_args__ over the declared fields only, never the derived slots
@@ -371,84 +375,76 @@ def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:
 
 def lift(m: Term, i: int) -> Term:
     """Prepend i to every Index in m (free and binding)."""
-    match m:
-        case Var(name, idx):
-            return Var(name, (i,) + idx)
-        case Abs(var, idx, body):
-            return Abs(var, (i,) + idx, lift(body, i))
-        case App(fun, arg):
-            return App(lift(fun, i), lift(arg, i))
-    raise AssertionError(m)
+    return _reindex(m, (i,), 0)
 
 
-def lower(m: Term, i: int) -> Term:
-    """Strip a leading i from every Index; defined when d(m) starts with i."""
-    if not m.degree or m.degree[0] != i:
-        raise DegreeError(
-            f"cannot lower degree {index_str(m.degree)} by {i}"
-        )
-    return _lower(m, i)
+def lower(m: Term, k: Index) -> Term:
+    """Strip the prefix k from every Index; defined when d(m) extends k."""
+    if not k:
+        return m
+    if not prefix_leq(k, m.degree):
+        raise DegreeError(f"cannot lower degree {index_str(m.degree)} by {index_str(k)}")
+    return _reindex(m, (), len(k))
 
 
-def _lower(m: Term, i: int) -> Term:
-    match m:
-        case Var(name, idx):
-            assert idx and idx[0] == i, (m, i)
-            return Var(name, idx[1:])
-        case Abs(var, idx, body):
-            assert idx and idx[0] == i, (m, i)
-            return Abs(var, idx[1:], _lower(body, i))
-        case App(fun, arg):
-            return App(_lower(fun, i), _lower(arg, i))
-    raise AssertionError(m)
-
-
-def lower_seq(m: Term, k: Index) -> Term:
-    for i in k:
-        m = lower(m, i)
-    return m
+def _reindex(m: Term, head: Index, cut: int) -> Term:
+    """m with every Index idx replaced by head + idx[cut:], rebuilt by one
+    explicit-stack walk.  Every Index in m extends d(m), so cutting d(m)'s
+    first entries cuts the same entries everywhere."""
+    built: list[Term] = []
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            built.append(Var(t.name, head + t.idx[cut:]))
+        elif cls is Abs:
+            stack += ((t,), t.body)
+        elif cls is App:
+            stack += ((t,), t.arg, t.fun)
+        else:  # (t,): t's rebuilt parts are on top of built
+            t = t[0]
+            if t.__class__ is Abs:
+                built.append(Abs(t.var, head + t.idx[cut:], built.pop()))
+            else:
+                arg = built.pop()
+                built.append(App(built.pop(), arg))
+    return built[0]
 
 
 # ---------------------------------------------------------------- alpha
 
 
 def alpha_canon(m: Term) -> Term:
-    """Rename binders to positional names, left to right.
+    """Rename binders to positional names: binder n, in preorder, becomes
+    _a{n}, or _a{n}_{i} for the least i whose name is not free in m.
 
     Free variables are untouched; two terms are alpha-equivalent iff their
-    canonical forms are equal.
+    canonical forms are equal.  The form is read back from alpha_key, right
+    to left, so binders are numbered by that one walk.
     """
-    taken = set(m._fv)
-    supply: list[str] = []
-
-    def grab(n: int) -> str:
-        while len(supply) <= n:
-            cand = f"_a{len(supply)}"
-            i = 0
-            while cand in taken:
-                cand = f"_a{len(supply)}_{i}"
-                i += 1
-            supply.append(cand)
-        return supply[n]
-
-    def go(t: Term, env: dict[VarKey, str], depth: int) -> tuple[Term, int]:
-        match t:
-            case Var(name, idx):
-                return Var(env.get(VarKey(name, idx), name), idx), depth
-            case Abs(var, idx, body):
-                cname = grab(depth)
-                env2 = dict(env)
-                env2[VarKey(var, idx)] = cname
-                body2, d2 = go(body, env2, depth + 1)
-                return Abs(cname, idx, body2), d2
-            case App(fun, arg):
-                fun2, d1 = go(fun, env, depth)
-                arg2, d2 = go(arg, env, d1)
-                return App(fun2, arg2), d2
-        raise AssertionError(t)
-
-    out, _ = go(m, {}, 0)
-    return out
+    key = alpha_key(m)
+    names: list[str] = []
+    for n in range(key.count(_ABS_MARK)):
+        name, i = f"_a{n}", 0
+        while name in m._fv:
+            name, i = f"_a{n}_{i}", i + 1
+        names.append(name)
+    binder = len(names)
+    built: list[Term] = []
+    items = reversed(key)
+    for item in items:
+        if item is _APP_MARK:
+            fun = built.pop()
+            built.append(App(fun, built.pop()))
+            continue
+        tag = next(items)  # item is an Index; tag is an Abs marker or a name
+        if tag is _ABS_MARK:
+            binder -= 1
+            built.append(Abs(names[binder], item, built.pop()))
+        else:
+            built.append(Var(names[tag] if tag.__class__ is int else tag, item))
+    return built[0]
 
 
 # markers for the nodes in an alpha key; neither equals a name, an int or an Index

@@ -40,7 +40,6 @@ from .syntax import (
     free_vars,
     index_str,
     lower,
-    lower_seq,
     print_term,
     substitute,
 )
@@ -161,31 +160,28 @@ def lower_derivation(d: Derivation, k: Index) -> Derivation:
     """Strip the index prefix k from a derivation's conclusion.
 
     Defined when the conclusion type degree extends k; the subject, the
-    environment and the type are lowered together.
+    environment and the type are lowered together, in one walk: an exp node
+    with head k[0] gives its premise lowered by the rest of k.
     """
-    for j in k:
-        d = _lower1(d, j)
-    return d
-
-
-def _lower1(d: Derivation, j: int) -> Derivation:
+    if not k:
+        return d
     match d:
         case OmegaRule(subject):
-            return OmegaRule(lower(subject, j))
+            return OmegaRule(lower(subject, k))
         case InterI(left, right):
-            return InterI(_lower1(left, j), _lower1(right, j))
+            return InterI(lower_derivation(left, k), lower_derivation(right, k))
         case ExpRule(head, premise):
-            if head != j:
+            if head != k[0]:
                 raise PreconditionError(
-                    f"conclusion degree starts with {head}, cannot lower by {j}"
+                    f"conclusion degree starts with {head}, cannot lower by {k[0]}"
                 )
-            return premise
+            return lower_derivation(premise, k[1:])
         case SubRule(premise, env, typ):
-            return SubRule(_lower1(premise, j), env_lower(env, (j,)), lower_type(typ, (j,)))
+            return SubRule(lower_derivation(premise, k), env_lower(env, k), lower_type(typ, k))
         case MacroAx(name, typ):
-            return MacroAx(name, lower_type(typ, (j,)))
+            return MacroAx(name, lower_type(typ, k))
         case MacroInterI(left, right):
-            return MacroInterI(_lower1(left, j), _lower1(right, j))
+            return MacroInterI(lower_derivation(left, k), lower_derivation(right, k))
         case Ax() | ArrI() | ArrIW() | ArrE():
             raise PreconditionError("conclusion is at degree [], cannot lower")
     raise AssertionError(d)
@@ -360,7 +356,7 @@ def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
         case SubRule(premise, _, typ):
             return sub_to(_rewrite(premise, new, path, at_redex), _target(d, new), typ)
         case ExpRule(head, premise):
-            return ExpRule(head, _rewrite(premise, lower(new, head), path, at_redex))
+            return ExpRule(head, _rewrite(premise, lower(new, (head,)), path, at_redex))
     if not path:
         return at_redex(d, new)
     match d, path[0]:
@@ -522,7 +518,7 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
         intro = partial(ArrI, x.name, residual, lower_type(v, k))
     else:
         dp_low = lower_derivation(d, k)
-        dq_low = OmegaRule(lower_seq(q, k))
+        dq_low = OmegaRule(lower(q, k))
         intro = partial(ArrIW, x.name, residual)
     env = dp_low.judgment.env
     pieces = [ArrE(intro(sub_to(dp_low, env, CT((), (t,)))), dq_low) for t in u.comps]
@@ -548,18 +544,13 @@ def _split(
         case InterI(left, right):
             v1, dp1, dq1 = _split(left, x, p, q)
             v2, dp2, dq2 = _split(right, x, p, q)
-            v = inter(v1, v2)
-            jp1, jp2 = dp1.judgment, dp2.judgment
-            ep = env_bind(
-                env_inter(env_without(jp1.env, x), env_without(jp2.env, x)), x, v
-            )
-            dp = InterI(sub_to(dp1, ep, jp1.typ), sub_to(dp2, ep, jp2.typ))
-            return v, dp, meet(dq1, dq2)
+            # meet intersects x's two bindings to inter(v1, v2)
+            return inter(v1, v2), meet(dp1, dp2), meet(dq1, dq2)
 
         case ExpRule(head, premise):
             assert x.idx and x.idx[0] == head
             x2 = VarKey(x.name, x.idx[1:])
-            v0, dp0, dq0 = _split(premise, x2, lower(p, head), lower(q, head))
+            v0, dp0, dq0 = _split(premise, x2, lower(p, (head,)), lower(q, (head,)))
             return expand_type(head, v0), ExpRule(head, dp0), ExpRule(head, dq0)
 
         case SubRule(premise, env, typ):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ikc.cli import _build_parser, main
+from ikc.semantics import EXAMPLE_TYPES
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -141,6 +142,25 @@ def test_oracle_non_member(capsys):
     code, out, _ = run(capsys, "oracle", "id0", "(lam y [] (app y[] y[]))")
     assert code == 1
     assert "non-member" in out
+
+
+def test_soundness_of_a_corpus_certificate(capsys):
+    code, out, _ = run(capsys, "soundness", str(CORPUS / "id0-redex.drv"), "id0")
+    assert (code, out) == (0, "soundness\tpass\tid0\n")
+
+
+def test_completeness_sample(capsys):
+    code, out, _ = run(capsys, "completeness", "id0", "--size", "5")
+    assert (code, out) == (0, "id0\tpass\tmembers 4, found 4, unknown 0, refuted 0\n")
+
+
+@pytest.mark.parametrize("tag", sorted(EXAMPLE_TYPES))
+def test_saturation_passes_on_every_tag(capsys, tag):
+    # the members are the oracle's members of the ambient pool itself, so a
+    # member larger than --size is not counted as an escape
+    code, out, _ = run(capsys, "saturation", tag, "--size", "4")
+    assert code == 0
+    assert out.startswith(f"{tag}\tpass\t"), out
 
 
 def test_props_suite(capsys):

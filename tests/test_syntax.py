@@ -28,7 +28,6 @@ from ikc.syntax import (
     joinable,
     lift,
     lower,
-    lower_seq,
     parse_term,
     prefix_leq,
     print_term,
@@ -240,8 +239,105 @@ def test_parse_rejects_ill_formed_degrees():
 @given(st.integers(0, 50), st.integers(0, 4))
 def test_lift_lower_inverse(seed, i):
     m = rand(seed)
-    assert lower(lift(m, i), i) == m
-    assert lower_seq(lift(lift(m, i), 3), (3, i)) == m
+    assert lower(lift(m, i), (i,)) == m
+    assert lower(lift(lift(m, i), 3), (3, i)) == m
+
+
+def test_lower_by_nothing_is_the_term_itself():
+    m = rand(3)
+    assert lower(m, ()) is m
+
+
+def test_lower_rejects_a_prefix_the_degree_lacks():
+    m = parse_term("(lam x [2 1] (app x[2 1] y[2 1 0]))")
+    with pytest.raises(DegreeError, match=r"cannot lower degree \[2 1\] by \[2 0\]"):
+        lower(m, (2, 0))
+
+
+def _ref_lift(m, i):
+    """The recursive lift that the explicit-stack walk replaced."""
+    match m:
+        case Var(name, idx):
+            return Var(name, (i,) + idx)
+        case Abs(var, idx, body):
+            return Abs(var, (i,) + idx, _ref_lift(body, i))
+        case App(fun, arg):
+            return App(_ref_lift(fun, i), _ref_lift(arg, i))
+
+
+def _ref_lower(m, k):
+    """The recursive lower, one entry of k per walk."""
+    for i in k:
+        m = _ref_lower1(m, i)
+    return m
+
+
+def _ref_lower1(m, i):
+    match m:
+        case Var(name, idx):
+            assert idx[0] == i
+            return Var(name, idx[1:])
+        case Abs(var, idx, body):
+            assert idx[0] == i
+            return Abs(var, idx[1:], _ref_lower1(body, i))
+        case App(fun, arg):
+            return App(_ref_lower1(fun, i), _ref_lower1(arg, i))
+
+
+def _ref_alpha_canon(m):
+    """The recursive alpha_canon that the read-back from alpha_key replaced."""
+    taken = set(free_map(m))
+    supply = []
+
+    def grab(n):
+        while len(supply) <= n:
+            cand, i = f"_a{len(supply)}", 0
+            while cand in taken:
+                cand, i = f"_a{len(supply)}_{i}", i + 1
+            supply.append(cand)
+        return supply[n]
+
+    def go(t, env, depth):
+        match t:
+            case Var(name, idx):
+                return Var(env.get((name, idx), name), idx), depth
+            case Abs(var, idx, body):
+                cname = grab(depth)
+                body2, d2 = go(body, {**env, (var, idx): cname}, depth + 1)
+                return Abs(cname, idx, body2), d2
+            case App(fun, arg):
+                fun2, d1 = go(fun, env, depth)
+                arg2, d2 = go(arg, env, d1)
+                return App(fun2, arg2), d2
+
+    return go(m, {}, 0)[0]
+
+
+_FREE_A0_NAMES = [
+    "(lam x [] (app _a0[] x[]))",
+    "(lam x [] (app (app _a0[] _a0_0[]) (lam y [] (app x[] y[]))))",
+    "(lam x [1] (app _a0[1] (app _a1_0[1] (lam _a0 [1] (app _a1[1] _a0[1])))))",
+    "(lam _a0 [] (lam x [] (app _a0_1[] (app _a0[] x[]))))",
+]
+
+
+@pytest.fixture(scope="module")
+def reference_pool(enum6, criterion3_terms):
+    return enum6 + criterion3_terms + [parse_term(t) for t in _FREE_A0_NAMES]
+
+
+def test_lift_and_lower_match_the_recursive_walks(reference_pool):
+    for m in reference_pool:
+        up = lift(m, 1)
+        assert up == _ref_lift(m, 1)
+        upup = lift(up, 0)
+        assert lower(upup, (0, 1)) == _ref_lower(upup, (0, 1)) == m
+        assert lower(upup, (0,)) == _ref_lower(upup, (0,)) == up
+
+
+def test_alpha_canon_matches_the_recursive_walk(reference_pool):
+    for m in reference_pool:
+        assert alpha_canon(m) == _ref_alpha_canon(m)
 
 
 def test_lift_prepends_everywhere():
@@ -460,6 +556,26 @@ def test_term_size_of_a_deep_term_does_not_recurse(make, per_level):
     for _ in range(10_000):
         m = make(m)
     assert term_size(m) == 1 + per_level * 10_000
+
+
+@pytest.mark.parametrize(
+    "make,binders",
+    [(lambda m: Abs("v", (), m), 10_000), (lambda m: App(m, Var("y", (1,))), 0)],
+    ids=["abs-chain", "app-spine"],
+)
+def test_lift_lower_and_alpha_canon_of_a_deep_term_do_not_recurse(make, binders):
+    # compared through alpha_key and all_names: dataclass equality recurses
+    m = Var("x", ())
+    for _ in range(10_000):
+        m = make(m)
+    key = alpha_key(m)
+    up = lift(m, 2)
+    assert up.degree == (2,)
+    assert alpha_key(up) == tuple((2,) + i if type(i) is tuple else i for i in key)
+    assert alpha_key(lower(up, (2,))) == key
+    canon = alpha_canon(m)
+    assert alpha_key(canon) == key
+    assert all_names(canon) == all_names(m) - {"v"} | {f"_a{n}" for n in range(binders)}
 
 
 def test_joinable_reports_conflicts():

@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 
 import pytest
 
@@ -26,6 +27,9 @@ from ikc.transform import (
     subst_derivation,
 )
 from ikc.types import CAtom, parse_type
+
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def pt(s):
@@ -74,6 +78,15 @@ def test_lower_derivation_through_interI_macro(text, want, judgment):
     low = lower_derivation(parse_derivation(text), (1,))
     assert print_derivation(low) == want
     assert pj(low) == judgment
+
+
+def test_lower_derivation_strips_a_prefix_in_one_walk():
+    d = parse_derivation((CORPUS / "exp-chain.drv").read_text())
+    once = lower_derivation(d, (2, 1))
+    assert once == lower_derivation(lower_derivation(d, (2,)), (1,))
+    assert pj(once) == "(judg (lam y [] y[]) () (-> a a))"
+    with pytest.raises(PreconditionError, match="starts with 1, cannot lower by 0"):
+        lower_derivation(d, (2, 0))
 
 
 def test_lower_derivation_rejects_ground_conclusions():
