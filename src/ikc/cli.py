@@ -54,15 +54,23 @@ def _load(arg: str) -> str:
     return arg
 
 
+def _natural(text: str) -> int:
+    """text as a natural number, as IKC_FUEL and every int option must be."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {text!r}")
+    return n
+
+
 def _default_fuel() -> int:
     text = os.environ.get("IKC_FUEL", "10000")
     try:
-        fuel = int(text)
-    except ValueError:
-        fuel = -1
-    if fuel < 0:
-        raise InputSyntaxError(f"IKC_FUEL must be a natural number, got {text!r}")
-    return fuel
+        return _natural(text)
+    except argparse.ArgumentTypeError as e:
+        raise InputSyntaxError(f"IKC_FUEL {e}") from None
 
 
 # ---------------------------------------------------------------- verbs
@@ -283,8 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def verb(name, handler, *positionals, **options):
         """Add a verb: its positionals, then its options in the order given.
-        A name ending in * takes any number of words; an int default makes an
-        int option, ... a required one, and --rel takes a relation name."""
+        A name ending in * takes any number of words; an int default makes a
+        natural-number option, ... a required one, and --rel takes a relation
+        name."""
         p = sub.add_parser(name)
         for arg in positionals:
             p.add_argument(arg.rstrip("*"), nargs="*" if arg.endswith("*") else None)
@@ -295,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(
                     f"--{opt}",
                     default=default,
-                    type=int if isinstance(default, int) else None,
+                    type=_natural if isinstance(default, int) else None,
                     choices=rels if opt == "rel" else None,
                 )
         p.set_defaults(handler=handler)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envs import env_empty
+from .errors import PreconditionError
 from .reduction import LeftmostBeta, Relation, reachable
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
@@ -166,9 +167,9 @@ def soundness_check(d, tag: str, fuel: int = 2000) -> bool:
     """A closed derivation at an example type must have a member subject."""
     j = d.judgment
     if len(j.env):
-        raise ValueError("soundness check needs an empty environment")
+        raise PreconditionError("soundness check needs an empty environment")
     if j.typ != EXAMPLE_TYPES[tag]:
-        raise ValueError("derivation does not conclude at the tagged type")
+        raise PreconditionError("derivation does not conclude at the tagged type")
     v = oracle_membership(tag, j.subject, fuel)
     return v.member
 

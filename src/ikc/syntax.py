@@ -319,15 +319,14 @@ class Avoid:
 # ---------------------------------------------------------------- substitution
 
 
-def substitute(m: Term, binds: dict[VarKey, Term], avoid: Avoid | None = None) -> Term:
+def substitute(m: Term, binds: dict[VarKey, Term]) -> Term:
     """Simultaneous capture-avoiding substitution.
 
     Each binding x^L := N needs d(N) = L, and the family {m} + replacements
     must be pairwise joinable.  Binders are renamed only on a name collision
     with a replacement's free names; the fresh choice never looks at indexes,
-    so substitution commutes exactly with lifting and lowering.  When m is a
-    subterm of a larger substitution's term, pass that substitution's Avoid
-    at m, so the fresh names chosen here are the ones it would choose.
+    so substitution commutes exactly with lifting and lowering.  It is the
+    one renamer: the derivation transports read binder names off its output.
     """
     merged: dict[str, Index] = dict(m._fv)
     payloads = []
@@ -347,7 +346,7 @@ def substitute(m: Term, binds: dict[VarKey, Term], avoid: Avoid | None = None) -
                 raise JoinabilityError(
                     f"{name} free at {index_str(merged[name])} and {index_str(idx)}"
                 )
-    return _subst(m, binds, avoid or Avoid(m, *binds.values()))
+    return _subst(m, binds, Avoid(m, *binds.values()))
 
 
 def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:

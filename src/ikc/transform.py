@@ -5,10 +5,13 @@ public entry points elaborate first, which costs O(1) on a derivation without
 the macro mark, the usual case) and builds its output through the rule
 constructors, so each new node is checked once, when it is made, and every
 intermediate judgment is read from the node that carries it.
-The exact-subject discipline matters throughout: these builders thread the
-same name-only freshness choices as term substitution, so the subjects they
-construct are equal to the reduction engine's output, not merely
-alpha-equivalent.
+The exact-subject discipline matters throughout: the subjects built here
+are equal to the reduction engine's output, not merely alpha-equivalent.
+No builder chooses a name.  The substitution walk, _subst_d, is handed the
+substituted subject that syntax.substitute made and reads every binder name
+off it; where that renamed a binder, the walk renames the bound key in the
+Ax nodes and sub environments below, and expansion renames back through the
+same walk.
 
   lower_derivation      strips an index prefix off a whole derivation
   subst_derivation      the substitution lemma, derivation to derivation
@@ -32,7 +35,6 @@ from .errors import NotAnExpansionError, NotAReductError, PreconditionError
 from .syntax import (
     Abs,
     App,
-    Avoid,
     Index,
     Term,
     Var,
@@ -59,7 +61,6 @@ from .envs import (
     env_bind,
     env_inter,
     env_lower,
-    env_omega,
     env_restrict,
     env_without,
     mk_env,
@@ -84,73 +85,6 @@ from .derivations import (
 from .reduction import Relation, step_positions
 
 Path = tuple[str, ...]
-
-
-# ---------------------------------------------------------------- renaming
-
-
-def rename_free_in_deriv(d: Derivation, old: VarKey, new: str) -> Derivation:
-    """Rename the free variable old of the subject to new, everywhere.
-
-    Exact-key renaming: binders with the same name but a different index do
-    not capture.  The caller guarantees (new, old.idx) is not already free.
-    """
-    match d:
-        case Ax(name, comp):
-            if VarKey(name, ()) == old:
-                return Ax(new, comp)
-            return d
-        case OmegaRule(subject):
-            if subject._fv.get(old.name) != old.idx:
-                return d
-            return OmegaRule(_rename_term(subject, old, new))
-        case ArrI(var, idx, ann, premise):
-            if VarKey(var, idx) == old:
-                return d  # shadowed: old is not free below
-            assert not (var == new and idx == old.idx), "rename would be captured"
-            return ArrI(var, idx, ann, rename_free_in_deriv(premise, old, new))
-        case ArrIW(var, idx, premise):
-            if VarKey(var, idx) == old:
-                return d
-            assert not (var == new and idx == old.idx), "rename would be captured"
-            return ArrIW(var, idx, rename_free_in_deriv(premise, old, new))
-        case ArrE(fun, arg):
-            return ArrE(
-                rename_free_in_deriv(fun, old, new), rename_free_in_deriv(arg, old, new)
-            )
-        case InterI(left, right):
-            return InterI(
-                rename_free_in_deriv(left, old, new),
-                rename_free_in_deriv(right, old, new),
-            )
-        case ExpRule(head, premise):
-            if old.idx and old.idx[0] == head:
-                inner = VarKey(old.name, old.idx[1:])
-                return ExpRule(head, rename_free_in_deriv(premise, inner, new))
-            return d
-        case SubRule(premise, env, typ):
-            env2 = mk_env(
-                ((VarKey(new, k.idx) if k == old else k), u) for k, u in env
-            )
-            return SubRule(rename_free_in_deriv(premise, old, new), env2, typ)
-    raise AssertionError(d)
-
-
-def _rename_term(m: Term, old: VarKey, new: str) -> Term:
-    """Rename the free occurrences of old to new (exact-key safe).
-
-    The caller guarantees new is not captured by a binder at old's index."""
-    if m._fv.get(old.name) != old.idx:
-        return m
-    match m:
-        case Var(name, idx):
-            return Var(new, idx) if VarKey(name, idx) == old else m
-        case Abs(var, idx, body):
-            assert not (var == new and idx == old.idx), "rename would be captured"
-            return Abs(var, idx, _rename_term(body, old, new))
-        case App(fun, arg):
-            return App(_rename_term(fun, old, new), _rename_term(arg, old, new))
-    raise AssertionError(m)
 
 
 # ---------------------------------------------------------------- lowering
@@ -197,13 +131,8 @@ def subst_derivation(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
     M[x^L := N] : <G /\\ D |- W>.  dn's conclusion type must equal the
     binding of x exactly; coerce with a sub node first if it does not.
     """
-    return _subst_elaborated(elaborate(dm), x, elaborate(dn))
-
-
-def _subst_elaborated(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
-    """subst_derivation on derivations whose macros are elaborated already."""
-    jm = dm.judgment
-    jn = dn.judgment
+    dm, dn = elaborate(dm), elaborate(dn)
+    jm, jn = dm.judgment, dn.judgment
     v = jm.env.get(x)
     if v is None:
         raise PreconditionError(
@@ -213,69 +142,84 @@ def _subst_elaborated(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
         raise PreconditionError(
             "replacement derivation concludes at a different type than the binding"
         )
-    return _subst_d(dm, x, dn, Avoid(jm.subject, jn.subject))
+    return _subst_d(dm, x, dn, substitute(jm.subject, {x: jn.subject}), {})
 
 
-def _subst_d(dm: Derivation, x: VarKey, dn: Derivation, avoid: Avoid) -> Derivation:
-    """Core recursion; x is in dm's environment and dn concludes at exactly
-    the binding of x.  Mirrors the term-level substitution's renaming choices
-    via the threaded Avoid."""
-    jn = dn.judgment
-    match dm:
-        case Ax():
-            return dn
+def _subst_d(
+    d: Derivation, x: VarKey, dn: Derivation | None, t: Term, ren: dict[VarKey, str]
+) -> Derivation:
+    """d rebuilt for t: d's subject with x replaced by dn's subject (unless
+    dn is None) and each free key of ren renamed to its name there.
 
-        case OmegaRule(subject):
-            m2 = substitute(subject, {x: jn.subject}, avoid)
-            target = env_inter(env_without(env_omega(subject), x), jn.env)
-            return sub_to(OmegaRule(m2), target, omega(subject.degree))
+    t comes from syntax.substitute, and every binder name is read off it.  A
+    binder that t renames maps its key in ren below it, and only Ax names
+    and sub environments are rewritten through ren.  dn concludes at exactly
+    the binding of x; a subtree where neither x nor a key of ren is free is
+    returned as it is.
+    """
+    fv = d.judgment.subject._fv
+    if dn is not None and fv.get(x.name) != x.idx:
+        dn = None
+    if dn is None and not (ren and any(fv.get(k.name) == k.idx for k in ren)):
+        return d
+    match d:
+        case Ax(name, comp):
+            return dn if dn is not None else Ax(ren[VarKey(name, ())], comp)
+
+        case OmegaRule():
+            out = OmegaRule(t)
+            if dn is None:
+                return out
+            jo = out.judgment
+            return sub_to(out, env_inter(jo.env, dn.judgment.env), jo.typ)
 
         case ArrI(var, idx, ann, premise):
             key = VarKey(var, idx)
-            assert key != x
-            if var in jn.subject._fv:
-                var, avoid = avoid.fresh()
-                premise = rename_free_in_deriv(premise, key, var)
-            return ArrI(var, idx, ann, _subst_d(premise, x, dn, avoid))
+            if t.var != var:
+                ren = {**ren, key: t.var}
+            elif key in ren:  # the binder shadows a renamed key
+                ren = {k: n for k, n in ren.items() if k != key}
+            return ArrI(t.var, idx, ann, _subst_d(premise, x, dn, t.body, ren))
 
         case ArrIW(var, idx, premise):
-            if var in jn.subject._fv:
-                # the binder is not free below, so the premise is untouched
-                var, avoid = avoid.fresh()
-            return ArrIW(var, idx, _subst_d(premise, x, dn, avoid))
+            # the binder is not free below, so only its name changes
+            return ArrIW(t.var, idx, _subst_d(premise, x, dn, t.body, ren))
 
         case ArrE(fun, arg):
-            jf = fun.judgment
-            ja = arg.judgment
-            in_f = x in jf.env
-            in_a = x in ja.env
-            assert in_f or in_a
-            if in_f and in_a:
-                dn_f = sub_to(dn, jn.env, jf.env.get(x))
-                dn_a = sub_to(dn, jn.env, ja.env.get(x))
-                return ArrE(
-                    _subst_d(fun, x, dn_f, avoid), _subst_d(arg, x, dn_a, avoid)
-                )
-            if in_f:
-                return ArrE(_subst_d(fun, x, dn, avoid), arg)
-            return ArrE(fun, _subst_d(arg, x, dn, avoid))
+            dn_f = dn_a = dn
+            if dn is not None and x in fun.judgment.env and x in arg.judgment.env:
+                jn = dn.judgment
+                dn_f = sub_to(dn, jn.env, fun.judgment.env.get(x))
+                dn_a = sub_to(dn, jn.env, arg.judgment.env.get(x))
+            return ArrE(
+                _subst_d(fun, x, dn_f, t.fun, ren), _subst_d(arg, x, dn_a, t.arg, ren)
+            )
 
         case InterI(left, right):
-            return InterI(_subst_d(left, x, dn, avoid), _subst_d(right, x, dn, avoid))
+            return InterI(_subst_d(left, x, dn, t, ren), _subst_d(right, x, dn, t, ren))
 
         case ExpRule(head, premise):
-            assert x.idx and x.idx[0] == head, (x, head)
-            dn2 = lower_derivation(dn, (head,))
-            return ExpRule(head, _subst_d(premise, VarKey(x.name, x.idx[1:]), dn2, avoid))
+            if dn is not None:
+                dn = lower_derivation(dn, (head,))
+            if ren:
+                ren = {
+                    VarKey(k.name, k.idx[1:]): n
+                    for k, n in ren.items()
+                    if k.idx[:1] == (head,)
+                }
+            x = VarKey(x.name, x.idx[1:])
+            return ExpRule(head, _subst_d(premise, x, dn, lower(t, (head,)), ren))
 
         case SubRule(premise, env, typ):
-            jp = premise.judgment
-            dn0 = sub_to(dn, jn.env, jp.env.get(x))
-            inner = _subst_d(premise, x, dn0, avoid)
-            target = env_inter(env_without(env, x), jn.env)
-            return sub_to(inner, target, typ)
+            if ren:  # first: dn's keys, which may equal a renamed key, keep their names
+                env = mk_env((VarKey(ren.get(k, k.name), k.idx), u) for k, u in env)
+            if dn is not None:
+                jn = dn.judgment
+                dn = sub_to(dn, jn.env, premise.judgment.env.get(x))
+                env = env_inter(env_without(env, x), jn.env)
+            return sub_to(_subst_d(premise, x, dn, t, ren), env, typ)
 
-    raise AssertionError(dm)
+    raise AssertionError(d)
 
 
 # ---------------------------------------------------------------- inversion
@@ -449,7 +393,7 @@ def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
     binds, prem = _abs_premise(d.fun, comp)
     target = _target(d, reduct)
     if binds:
-        out = _subst_elaborated(prem, x, d.arg)
+        out = _subst_d(prem, x, d.arg, reduct, {})
     else:
         out = sub_to(prem, target, CT((), (comp.res,)))
     jo = out.judgment
@@ -585,15 +529,14 @@ def _split(
 
         case ArrI(var, idx, ann, premise):
             assert isinstance(p, Abs) and p.idx == idx
-            key = VarKey(var, idx)
             if p.var == var:
-                body = p.body
-                v, dp0, dq = _split(premise, x, body, q)
+                v, dp0, dq = _split(premise, x, p.body, q)
                 return v, ArrI(var, idx, ann, dp0), dq
-            # the substitution renamed p's binder to var; align and undo
-            body = _rename_term(p.body, VarKey(p.var, idx), var)
+            # the substitution renamed p's binder to var, a name fresh for p:
+            # split against p's body renamed alike, then rename dP back
+            body = substitute(p.body, {VarKey(p.var, idx): Var(var, idx)})
             v, dp0, dq = _split(premise, x, body, q)
-            dp0 = rename_free_in_deriv(dp0, key, p.var)
+            dp0 = _subst_d(dp0, x, None, p.body, {VarKey(var, idx): p.var})
             return v, ArrI(p.var, idx, ann, dp0), dq
 
         case ArrIW(var, idx, premise):

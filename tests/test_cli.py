@@ -149,6 +149,19 @@ def test_soundness_of_a_corpus_certificate(capsys):
     assert (code, out) == (0, "soundness\tpass\tid0\n")
 
 
+@pytest.mark.parametrize(
+    "deriv, tag, reason",
+    [
+        ("(ax x a)", "id0", "soundness check needs an empty environment"),
+        ("(arrI x [] a (ax x a))", "nat0", "derivation does not conclude at the tagged type"),
+    ],
+    ids=["open", "other-type"],
+)
+def test_soundness_outside_its_contract_is_an_input_error(capsys, deriv, tag, reason):
+    code, out, err = run(capsys, "soundness", deriv, tag)
+    assert (code, out, err) == (2, "", f"input error: {reason}\n")
+
+
 def test_completeness_sample(capsys):
     code, out, _ = run(capsys, "completeness", "id0", "--size", "5")
     assert (code, out) == (0, "id0\tpass\tmembers 4, found 4, unknown 0, refuted 0\n")
@@ -240,6 +253,25 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, opt, value",
+    [
+        (["oracle", "id0", "(lam x [] x[])", "--fuel=-1"], "--fuel", "-1"),
+        (["nf", "--fuel", "-5", "y[]"], "--fuel", "-5"),
+        (["confluence", "y[]", "--size=-1"], "--size", "-1"),
+        (["completeness", "id0", "--size", "-2"], "--size", "-2"),
+    ],
+    ids=["oracle-fuel", "nf-fuel", "confluence-size", "completeness-size"],
+)
+def test_negative_fuel_or_size_is_a_usage_error(capsys, argv, opt, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"input error: ikc {argv[0]}: argument {opt}: "
+        f"must be a natural number, got {value!r}\n"
+    )
 
 
 def test_help_still_exits_zero(capsys):
@@ -530,6 +562,8 @@ _WHOLE = [
     "(-> (^ a (e 1 (w [2]))) (-> a b))",
     "(arrE (arrI x [] a (ax x a)) (ax y a))",
     "(sub (ax' x (e 1 a)) ((x [1] (e 1 a))) (e 1 (w [])))",
+    "y[]",
+    "(arrI x [] a (ax x a))",
 ]
 _TEXTS = st.one_of(
     st.lists(st.sampled_from(_ATOMS), max_size=16).map(" ".join),
@@ -548,12 +582,22 @@ def _argv(verb, text, other):
         "check-deriv": ["check-deriv", "--", text],
         "typecheck": ["typecheck", "--fuel=200", f"--type={other}", "--", text],
         "oracle": ["oracle", "--fuel=200", "--", "id0", text],
+        "soundness": ["soundness", "--fuel=200", "--", text, "id0"],
+        "sr": ["sr", "--fuel=50", "--", text, other],
+        "expand": ["expand", "--fuel=50", "--", text, other],
     }[verb]
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+# 1,500 examples over nine verbs keep about the 167 per verb that 1,000 gave
+# the first six
+@settings(max_examples=1500, derandomize=True, deadline=None)
 @given(
-    st.sampled_from(["check-term", "nf", "subtype", "check-deriv", "typecheck", "oracle"]),
+    st.sampled_from(
+        [
+            "check-term", "nf", "subtype", "check-deriv", "typecheck", "oracle",
+            "soundness", "sr", "expand",
+        ]
+    ),
     _TEXTS,
     _TEXTS,
 )

@@ -1,6 +1,7 @@
 import pytest
 
 from ikc.derivations import parse_derivation
+from ikc.errors import PreconditionError
 from ikc.gen import enumerate_closed, enumerate_terms
 from ikc.reduction import Relation, first_step, step
 from ikc.semantics import (
@@ -155,7 +156,7 @@ def test_soundness_on_identity_derivation():
 
 def test_soundness_rejects_open_environment():
     d = parse_derivation("(ax' y a)")
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="needs an empty environment"):
         soundness_check(d, "id0")
 
 

@@ -15,11 +15,19 @@ from ikc.derivations import (
     print_derivation,
     var_intro,
 )
-from ikc.envs import Judgment, env_empty, print_judgment
+from ikc.envs import Judgment, env_empty, mk_env, parse_env, print_judgment
 from ikc.errors import NotAnExpansionError, NotAReductError, PreconditionError
 from ikc.reduction import Relation, step_positions
 from ikc.search import Found, bounded_typecheck
-from ikc.syntax import VarKey, parse_term, print_term, substitute
+from ikc.syntax import (
+    BETA_BIT,
+    VarKey,
+    all_names,
+    free_vars,
+    parse_term,
+    print_term,
+    substitute,
+)
 from ikc.transform import (
     lower_derivation,
     subject_expand_beta,
@@ -142,8 +150,20 @@ def test_subst_derivation_renames_clashing_binders():
             var_intro("y", pt("(-> a b)")),
             "(app (lam _r1 [] (lam _r0 [] y[])) (lam _r1 [] y[]))",
         ),
+        # an inner y binder, kept as it is, shadows the renamed outer y
+        # while the renamed z stays free below it
+        (
+            parse_derivation(
+                "(arrI y [] k (arrI z [] (-> a b) (arrE (arrE"
+                " (ax x (-> k (-> (-> a b) g))) (ax y k))"
+                " (arrI y [] a (arrE (ax z (-> a b)) (ax y a))))))"
+            ),
+            parse_derivation("(arrE (ax y (-> h (-> k (-> (-> a b) g)))) (ax z h))"),
+            "(lam _r0 [] (lam _r1 [] (app (app (app y[] z[]) _r0[])"
+            " (lam y [] (app _r1[] y[])))))",
+        ),
     ],
-    ids=["nested", "siblings", "omega-beside-r0"],
+    ids=["nested", "siblings", "omega-beside-r0", "shadowed"],
 )
 def test_subst_derivation_renames_like_term_substitution(dm, dn, want):
     x = VarKey("x", ())
@@ -151,6 +171,22 @@ def test_subst_derivation_renames_like_term_substitution(dm, dn, want):
     jm, jn = check_derivation(dm), check_derivation(dn)
     assert out == substitute(jm.subject, {x: jn.subject})
     assert print_term(out) == want
+
+
+def test_subject_reduce_renames_a_sub_environment_before_the_argument_joins():
+    # the argument's free y and the renamed binder y share a key, so the sub
+    # node's environment must rename its y to _r0 before y's binding arrives
+    d = parse_derivation(
+        "(arrE (arrI x [] (^ (-> a b) (-> c d))"
+        " (arrI y [] a (sub (arrE (ax x (-> a b)) (ax y a))"
+        " ((x [] (^ (-> a b) (-> c d))) (y [] a)) b)))"
+        " (ax' y (^ (-> a b) (-> c d))))"
+    )
+    out = subject_reduce(d, parse_term("(lam _r0 [] (app y[] _r0[]))"), Relation.BETA)
+    assert pj(out) == (
+        "(judg (lam _r0 [] (app y[] _r0[])) ((y [] (^ (-> a b) (-> c d)))) (-> a b))"
+    )
+    assert subject_expand_beta(out, d.judgment.subject).judgment == d.judgment
 
 
 def test_subst_derivation_omega_subject():
@@ -314,6 +350,89 @@ def test_subject_expand_reintroduces_a_binder_at_omega():
     d = parse_derivation("(arrIW x [] (ax z b))")
     out = subject_expand_beta(d, parse_term("(lam x [] (app (lam y [] z[]) x[]))"))
     assert print_derivation(out) == "(arrI x [] (w []) (arrE (arrIW y [] (ax z b)) (w x[])))"
+
+
+def test_expansion_keeps_a_binder_that_a_rename_back_would_rename():
+    # the contraction renames both y binders; expanding back must restore
+    # (lam y [1] ...) as it was, though y[] is free below it after the
+    # outer binder is renamed back to y
+    m = parse_term("(app (lam x [] (lam y [] (lam y [1] (app y[] x[])))) y[])")
+    found = bounded_typecheck(
+        m, parse_env("((y [] a))"), pt("(-> (-> a b) (-> (w [1]) b))")
+    )
+    assert isinstance(found, Found)
+    want = (
+        "(arrE (arrI x [] a (arrI y [] (-> a b) (arrIW y [1]"
+        " (arrE (ax y (-> a b)) (ax x a))))) (ax y a))"
+    )
+    assert print_derivation(found.derivation) == want
+    ((_, _, contractum),) = step_positions(m, Relation.BETA)
+    assert print_term(contractum) == "(lam _r0 [] (lam _r1 [1] (app _r0[] y[])))"
+    reduced = subject_reduce(found.derivation, contractum, Relation.BETA)
+    back = subject_expand_beta(reduced, m)
+    assert back.judgment.subject == m
+    assert print_derivation(back) == want
+
+
+# terms whose contraction renames a binder that is bound in the body, beyond
+# enumerate_terms(5), where every renamed binder is unused
+_RENAMING = [
+    # an arrE side holds the renamed key but not the substituted variable
+    "(app (lam x [] (lam y [] (app (app x[] y[]) y[]))) y[])",
+    "(app (lam x [] (lam y [] (app y[] x[]))) y[])",
+    "(app (lam x [] (lam y [] (lam y [1] (app y[] x[])))) y[])",
+    # a renamed binder over a sub-binder of its own name at another index
+    "(app (lam x [] (lam y [] (app y[] (lam y [1] x[])))) y[])",
+    # the renamed key under an exp node
+    "(app (lam x [1] (lam y [1] (app y[1] x[1]))) y[1])",
+]
+_RENAMING_ENVS = [
+    {(): pt("a"), (1,): pt("(e 1 a)")},
+    {(): pt("(-> a b)"), (1,): pt("(e 1 (-> a b))")},
+    {(): pt("(-> a (-> a b))"), (1,): pt("(e 1 (-> a (-> a b)))")},
+]
+_RENAMING_TYPES = {
+    (): [
+        pt(t)
+        for t in (
+            "a", "(-> a b)", "(-> b a)", "(-> (w [1]) a)", "(-> (-> a b) b)",
+            "(-> (-> a b) (-> a b))", "(-> (-> a b) (-> (w [1]) b))",
+            "(-> (-> (-> (w [1]) a) b) b)",
+        )
+    ],
+    (1,): [pt(t) for t in ("(e 1 a)", "(e 1 (-> a a))", "(e 1 (-> (-> a b) b))")],
+}
+
+
+def test_transports_through_renamed_binders_print_as_pinned(small_terms):
+    # typecheck each term, reduce it by each beta step whose contractum
+    # renames a binder, and expand back: both subjects are exact, and the
+    # digest pins the printed derivations
+    def renames(m):
+        return any(n.startswith("_r") for n in all_names(m))
+
+    terms = [m for m in small_terms if m.redexes & BETA_BIT]
+    terms += [parse_term(text) for text in _RENAMING]
+    lines = []
+    for m in terms:
+        reducts = [r for _, _, r in step_positions(m, Relation.BETA) if renames(r)]
+        if not reducts:
+            continue
+        for profile in _RENAMING_ENVS:
+            g = mk_env((k, profile[k.idx]) for k in free_vars(m))
+            for u in _RENAMING_TYPES[m.degree]:
+                found = bounded_typecheck(m, g, u, 2000)
+                if not isinstance(found, Found):
+                    continue
+                for r in reducts:
+                    reduced = subject_reduce(found.derivation, r, Relation.BETA)
+                    back = subject_expand_beta(reduced, m)
+                    assert reduced.judgment.subject == r
+                    assert back.judgment.subject == m
+                    lines += (print_derivation(reduced), print_derivation(back))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 64
+    assert digest == "20aa5e5bd76c535b7d35c0ac42f7915668719a6d70d48e54349b0d0aaf475e59"
 
 
 # ---------------------------------------------------------------- cost
