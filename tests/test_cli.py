@@ -238,6 +238,26 @@ def test_unknown_tag_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "id9", "(lam y [] y[])"],
+        ["soundness", "(arrI x [] a (ax x a))", "id9"],
+        ["completeness", "id9", "--size", "3"],
+        ["saturation", "id9", "--size", "1"],
+    ],
+    ids=["oracle", "soundness", "completeness", "saturation"],
+)
+def test_unknown_tag_is_one_input_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "input error: unknown interpretation tag: id9; "
+        "expected one of d, id0, id1, nat0, nat1, natp0\n"
+    )
+
+
 def test_unknown_suite_exits_two(capsys):
     code, _, err = run(capsys, "props", "no-such-suite")
     assert code == 2

@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from ikc import reduction
 from ikc.gen import enumerate_terms, random_term
 from ikc.reduction import (
     FuelExhausted,
@@ -138,6 +139,43 @@ def test_equiv_alpha_only():
     a = parse_term("(lam x [] x[])")
     b = parse_term("(lam y [] y[])")
     assert equiv(a, b, Relation.BETA, 1) is Verdict.EQUIVALENT
+
+
+OMEGA = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
+# a term whose every reduct is larger: its reduction graph never ends
+O3 = "(app (lam x [] (app (app x[] x[]) x[])) (lam x [] (app (app x[] x[]) x[])))"
+ETA_UNDER_BETA = "(lam y [] (app (lam x [] x[]) (app f[] y[])))"
+
+
+@pytest.mark.parametrize(
+    "left,right,rel,fuel,want,normalises",
+    [
+        # the common reduct z[] lies two steps from the left term
+        ("(app (lam x [] x[]) (app (lam y [] y[]) z[]))", "z[]", "beta", 1000, "Equivalent", False),
+        # the left graph never ends, but its leftmost path reaches a[]
+        (f"(app (lam y [] a[]) {O3})", "b[]", "beta", 50, "Distinct", True),
+        (O3, "b[]", "beta", 50, "Unknown", True),
+        # Omega's graph is one term: both walks end without meeting
+        (OMEGA, "b[]", "beta", 50, "Distinct", False),
+        (ETA_UNDER_BETA, "f[]", "betaeta", 50, "Equivalent", False),
+        (ETA_UNDER_BETA, "f[]", "beta", 50, "Distinct", False),
+        (ETA_UNDER_BETA, "f[]", "h", 50, "Distinct", False),
+    ],
+    ids=["two-steps", "normalise-fallback", "unknown", "omega", "betaeta", "beta", "h"],
+)
+def test_equiv_searches_past_the_first_reducts(
+    monkeypatch, left, right, rel, fuel, want, normalises
+):
+    calls = []
+
+    def counting(m, r, fuel):
+        calls.append(m)
+        return normalize(m, r, fuel)
+
+    monkeypatch.setattr(reduction, "normalize", counting)
+    out = equiv(parse_term(left), parse_term(right), Relation(rel), fuel)
+    assert out is Verdict(want)
+    assert bool(calls) is normalises
 
 
 # ---------------------------------------------------------------- confluence

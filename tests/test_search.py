@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from ikc import reduction, search
-from ikc.derivations import check_derivation
+from ikc.derivations import check_derivation, print_derivation
 from ikc.envs import Judgment, env_empty, mk_env, parse_env
 from ikc.search import Found, Refuted, Unknown, bounded_typecheck
 from ikc.syntax import VarKey, alpha_key, parse_term
@@ -274,3 +274,18 @@ def test_fuel_exhaustion_reason_text():
     )
     assert out == Unknown("fuel exhausted")
     assert out.reason == "fuel exhausted"
+
+
+# ---------------------------------------------------------------- omega goals
+
+
+def test_omega_goal_is_found_without_normalising():
+    # Omega has no normal form, so only the omega return can type it
+    omega = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
+    out = found_at(omega, "()", "(w [])")
+    assert print_derivation(out.derivation) == f"(w {omega})"
+
+
+def test_omega_argument_goal_is_found_by_the_omega_rule():
+    out = found_at("(app y[] z[])", "((y [] (-> (w []) a)) (z [] (w [])))", "a")
+    assert print_derivation(out.derivation) == "(arrE (ax y (-> (w []) a)) (w z[]))"

@@ -482,3 +482,99 @@ def test_transports_elaborate_once(monkeypatch):
     expanded = subject_expand_beta(reduced, m)
     assert len(calls) == 1
     assert check_derivation(expanded) == found.derivation.judgment
+
+
+# ---------------------------------------------------------------- rare branches
+# certificates that reach the exp, interI and sub cases of the substitution,
+# splitting and generation walks, which typings found by the search seldom do
+
+
+def test_subst_derivation_through_an_exp_node():
+    dm = parse_derivation("(exp 1 (arrE (ax f (-> a a)) (ax x a)))")
+    out = subst_derivation(dm, VarKey("x", (1,)), parse_derivation("(exp 1 (ax z a))"))
+    assert pj(out) == (
+        "(judg (app f[1] z[1]) ((f [1] (e 1 (-> a a))) (z [1] (e 1 a))) (e 1 a))"
+    )
+
+
+def test_subst_derivation_renames_a_binder_under_an_exp_node():
+    dm = parse_derivation("(exp 1 (arrI y [] a (arrE (ax x (-> a a)) (ax y a))))")
+    dn = parse_derivation("(exp 1 (arrE (ax h (-> b (-> a a))) (ax y b)))")
+    out = subst_derivation(dm, VarKey("x", (1,)), dn)
+    assert pj(out) == (
+        "(judg (lam _r0 [1] (app (app h[1] y[1]) _r0[1]))"
+        " ((h [1] (e 1 (-> b (-> a a)))) (y [1] (e 1 b))) (e 1 (-> a a)))"
+    )
+
+
+def test_subst_derivation_through_an_interI_node():
+    dm = parse_derivation(
+        "(interI (sub (ax x a) ((x [] (^ a b))) a) (sub (ax x b) ((x [] (^ a b))) b))"
+    )
+    out = subst_derivation(dm, VarKey("x", ()), parse_derivation("(ax' z (^ a b))"))
+    assert pj(out) == "(judg z[] ((z [] (^ a b))) (^ a b))"
+
+
+@pytest.mark.parametrize(
+    "text,src,want",
+    [
+        (
+            "(arrE (ax f (-> (e 1 a) b)) (exp 1 (arrE (ax g (-> a a)) (ax z a))))",
+            "(app (lam x [1] (app f[] (app g[1] x[1]))) z[1])",
+            "(arrE (arrI x [1] (e 1 a) (arrE (ax f (-> (e 1 a) b))"
+            " (exp 1 (arrE (ax g (-> a a)) (ax x a))))) (exp 1 (ax z a)))",
+        ),
+        (
+            "(arrE (ax f (-> (^ a b) c)) (interI"
+            " (sub (arrE (ax g (-> d a)) (ax z d)) ((g [] (^ (-> d a) (-> d b))) (z [] d)) a)"
+            " (sub (arrE (ax g (-> d b)) (ax z d)) ((g [] (^ (-> d a) (-> d b))) (z [] d)) b)))",
+            "(app (lam x [] (app f[] (app g[] x[]))) z[])",
+            "(arrE (arrI x [] d (arrE (ax f (-> (^ a b) c)) (interI"
+            " (sub (arrE (ax g (-> d a)) (ax x d)) ((g [] (^ (-> d a) (-> d b))) (x [] d)) a)"
+            " (sub (arrE (ax g (-> d b)) (ax x d)) ((g [] (^ (-> d a) (-> d b))) (x [] d)) b))))"
+            " (interI (ax z d) (ax z d)))",
+        ),
+    ],
+    ids=["exp", "interI-sub"],
+)
+def test_expansion_splits_through_exp_interI_and_sub(text, src, want):
+    d = parse_derivation(text)
+    j = check_derivation(d)
+    out = subject_expand_beta(d, parse_term(src))
+    assert print_derivation(out) == want
+    assert check_derivation(out) == Judgment(parse_term(src), j.env, j.typ)
+    assert check_derivation(subject_reduce(out, j.subject, Relation.BETA)) == j
+
+
+def test_eta_generation_through_an_interI_node():
+    d = parse_derivation(
+        "(arrI x [] a (interI (arrE (ax y (-> a b)) (ax x a)) (arrE (ax y (-> a b)) (ax x a))))"
+    )
+    out = subject_reduce(d, parse_term("y[]"), Relation.ETA)
+    assert print_derivation(out) == "(ax y (-> a b))"
+    assert pj(out) == "(judg y[] ((y [] (-> a b))) (-> a b))"
+
+
+def test_beta_contraction_through_a_sub_over_arrIW():
+    d = parse_derivation("(arrE (sub (arrIW x [] (ax y a)) ((y [] a)) (-> (w []) a)) (w z[]))")
+    out = subject_reduce(d, parse_term("y[]"), Relation.BETA)
+    assert print_derivation(out) == "(ax y a)"
+    assert pj(out) == "(judg y[] ((y [] a)) a)"
+
+
+@pytest.mark.parametrize(
+    "text,want,judgment",
+    [
+        ("(w z[1])", "(w z[])", "(judg z[] ((z [] (w []))) (w []))"),
+        (
+            "(interI (exp 1 (ax x a)) (exp 1 (ax x a)))",
+            "(interI (ax x a) (ax x a))",
+            "(judg x[] ((x [] a)) a)",
+        ),
+    ],
+    ids=["omega", "interI"],
+)
+def test_lower_derivation_through_omega_and_interI(text, want, judgment):
+    out = lower_derivation(parse_derivation(text), (1,))
+    assert print_derivation(out) == want
+    assert pj(out) == judgment
