@@ -199,40 +199,28 @@ def _cmd_typecheck(ns) -> int:
     raise AssertionError(out)
 
 
-def _tag(ns) -> str:
-    if ns.tag not in EXAMPLE_TYPES:
-        raise InputSyntaxError(
-            f"unknown interpretation tag: {ns.tag}; "
-            f"expected one of {', '.join(sorted(EXAMPLE_TYPES))}"
-        )
-    return ns.tag
-
-
 def _cmd_oracle(ns) -> int:
-    tag = _tag(ns)
     m = parse_term(_load(ns.term))
-    v = oracle_membership(tag, m, ns.fuel)
+    v = oracle_membership(ns.tag, m, ns.fuel)
     print(verdict_line(m, v))
     return 0 if v.member else 1
 
 
 def _cmd_soundness(ns) -> int:
-    tag = _tag(ns)
     d = parse_derivation(_load(ns.deriv))
-    ok = soundness_check(d, tag, ns.fuel)
-    print(f"soundness\t{'pass' if ok else 'FAIL'}\t{tag}")
+    ok = soundness_check(d, ns.tag, ns.fuel)
+    print(f"soundness\t{'pass' if ok else 'FAIL'}\t{ns.tag}")
     return 0 if ok else 1
 
 
 def _cmd_completeness(ns) -> int:
-    tag = _tag(ns)
-    r = completeness_sample(tag, ns.size, ns.fuel)
+    r = completeness_sample(ns.tag, ns.size, ns.fuel)
     for m in r.refuted_terms:
         print(f"{print_term(m)}\trefuted\tcompleteness violation")
     for m in r.unknown_terms:
         print(f"{print_term(m)}\tunknown\tsearch gave up")
     print(
-        f"{tag}\t{'pass' if r.refuted == 0 else 'FAIL'}\t"
+        f"{ns.tag}\t{'pass' if r.refuted == 0 else 'FAIL'}\t"
         f"members {r.members}, found {r.found}, unknown {r.unknown}, "
         f"refuted {r.refuted}"
     )
@@ -240,16 +228,15 @@ def _cmd_completeness(ns) -> int:
 
 
 def _cmd_saturation(ns) -> int:
-    tag = _tag(ns)
-    degree = EXAMPLE_TYPES[tag].degree
+    degree = EXAMPLE_TYPES[ns.tag].degree
     ambient = enumerate_closed(ns.size + 2, degree=degree)
-    members = [m for m in ambient if oracle_membership(tag, m, ns.fuel).member]
+    members = [m for m in ambient if oracle_membership(ns.tag, m, ns.fuel).member]
     report = saturation_check(members, ambient, Relation(ns.rel), 3)
     for m, hit in report.violations[:10]:
         print(f"{print_term(m)}\tescapes\treaches {print_term(hit)}")
     ok = not report.violations
     print(
-        f"{tag}\t{'pass' if ok else 'FAIL'}\t"
+        f"{ns.tag}\t{'pass' if ok else 'FAIL'}\t"
         f"{len(members)} members, {report.checked} ambient terms"
     )
     return 0 if ok else 1

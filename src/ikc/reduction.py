@@ -25,8 +25,8 @@ keying a reduct (and its source) only while the reduct still has a beta
 redex: the mask is alpha-invariant, so the normal form that ends a path can
 never repeat one of its earlier terms, and is never keyed;
 reachable is the one depth-bounded reachable-set walk, lazy so that a caller
-can stop at its first hit, shared by the confluence checker and
-semantics.saturation_check.
+can stop at its first hit, shared by the confluence checker,
+semantics.saturation_check and equiv, which runs two, one from each term.
 """
 
 from __future__ import annotations
@@ -238,50 +238,37 @@ class Verdict(Enum):
 
 
 def equiv(m: Term, n: Term, r: Relation, fuel: int) -> Verdict:
-    """Joint breadth-first search for a common reduct.
+    """Search for a common reduct: a reachable walk from each term, taking
+    one term from each in turn.
 
-    Equivalent on a shared reduct; Distinct when both reduction graphs were
-    exhausted without meeting, or both normalise to non-alpha-equal normal
-    forms; Unknown when fuel ran out first.
+    Equivalent when a walk finds an alpha key the other walk has found;
+    Distinct when both walks end without meeting, or both terms normalise
+    to non-alpha-equal normal forms; Unknown when fuel, which counts the
+    reducts the walks find, ran out first.
     """
     ka, kb = alpha_key(m), alpha_key(n)
     if ka == kb:
         return Verdict.EQUIVALENT
-    seen_a, seen_b = {ka}, {kb}
-    front_a, front_b = [m], [n]
+    # a walk never repeats a key, so a key found twice was found by both;
+    # that ends the search before either walk steps it, so the walks keep
+    # no step cache.  A walk yields fuel reducts before its depth bound can
+    # end it.
+    walks = [reachable(m, ka, r, fuel, None), reachable(n, kb, r, fuel, None)]
+    for walk in walks:  # past m and n themselves, which fuel does not count
+        next(walk)
+    found = {ka, kb}
     budget = fuel
-    complete = False
-    while budget > 0:
-        if not front_a and not front_b:
-            complete = True
-            break
-        # expand the smaller nonempty frontier first to keep the search balanced
-        if front_a and (not front_b or len(front_a) <= len(front_b)):
-            front, seen, other = front_a, seen_a, seen_b
-            front_a = []
-            is_a = True
-        else:
-            front, seen, other = front_b, seen_b, seen_a
-            front_b = []
-            is_a = False
-        new: list[Term] = []
-        for t in front:
-            for key, reduct in _keyed_steps(t, r):
-                budget -= 1
-                if key in other:
-                    return Verdict.EQUIVALENT
-                if key not in seen:
-                    seen.add(key)
-                    new.append(reduct)
-                if budget <= 0:
-                    break
-            if budget <= 0:
-                break
-        if is_a:
-            front_a = new
-        else:
-            front_b = new
-    if complete:
+    while walks and budget > 0:
+        walk = walks.pop(0)
+        hit = next(walk, None)
+        if hit is None:
+            continue
+        if hit[0] in found:
+            return Verdict.EQUIVALENT
+        found.add(hit[0])
+        budget -= 1
+        walks.append(walk)
+    if not walks:
         return Verdict.DISTINCT
     na, nb = normalize(m, r, fuel), normalize(n, r, fuel)
     if isinstance(na, NormalForm) and isinstance(nb, NormalForm):
@@ -305,7 +292,7 @@ class ConfluenceReport:
 
 
 def reachable(
-    m: Term, key: tuple, r: Relation, depth: int, cache: dict
+    m: Term, key: tuple, r: Relation, depth: int, cache: dict | None
 ) -> Iterator[tuple[tuple, Term]]:
     """The terms reachable from m within depth r-steps, as (alpha key, term)
     pairs in discovery order (breadth-first, each term's reducts in
@@ -313,16 +300,19 @@ def reachable(
     only when the pairs before its reducts have been taken, so a caller that
     stops early steps no further.  cache maps a key to its term's
     _keyed_steps, for one r only; it may start empty, and it is filled as
-    terms are stepped."""
+    terms are stepped.  A caller whose walks never step one key twice
+    passes None, so that no term is kept once its reducts are found."""
     yield key, m
     seen = {key}
     front = [(key, m)]
     for _ in range(depth):
         nxt = []
         for k, t in front:
-            steps = cache.get(k)
+            steps = None if cache is None else cache.get(k)
             if steps is None:
-                steps = cache[k] = _keyed_steps(t, r)
+                steps = _keyed_steps(t, r)
+                if cache is not None:
+                    cache[k] = steps
             for k2, reduct in steps:
                 if k2 not in seen:
                     seen.add(k2)

@@ -44,14 +44,27 @@ from .syntax import (
 )
 from .types import CanonType, parse_type
 
-EXAMPLE_TYPES: dict[str, CanonType] = {
+
+class _ExampleTypes(dict):
+    """The example types by tag; looking up an unknown tag raises
+    PreconditionError, which is the one tag check of the oracles, the
+    harness and the CLI."""
+
+    def __missing__(self, tag: str) -> CanonType:
+        raise PreconditionError(
+            f"unknown interpretation tag: {tag}; "
+            f"expected one of {', '.join(sorted(self))}"
+        )
+
+
+EXAMPLE_TYPES: dict[str, CanonType] = _ExampleTypes({
     "id0": parse_type("(-> a a)"),
     "id1": parse_type("(e 1 (-> a a))"),
     "d": parse_type("(-> (^ a (-> a b)) b)"),
     "nat0": parse_type("(-> (-> a a) (-> a a))"),
     "nat1": parse_type("(e 1 (-> (-> a a) (-> a a)))"),
     "natp0": parse_type("(-> (-> (e 1 a) a) (-> (e 1 a) a))"),
-}
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,11 +151,10 @@ _PATTERNS = {
 
 def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
     """Decide membership of m in the interpretation named by tag."""
-    if tag not in EXAMPLE_TYPES:
-        raise ValueError(f"unknown interpretation tag: {tag}")
+    typ = EXAMPLE_TYPES[tag]
     if not is_closed(m):
         return OracleVerdict(False, reason="term has free variables")
-    if m.degree != EXAMPLE_TYPES[tag].degree:
+    if m.degree != typ.degree:
         return OracleVerdict(
             False, reason=f"degree {list(m.degree)} does not match the type"
         )
@@ -165,10 +177,10 @@ def oracle_membership(tag: str, m: Term, fuel: int = 2000) -> OracleVerdict:
 
 def soundness_check(d, tag: str, fuel: int = 2000) -> bool:
     """A closed derivation at an example type must have a member subject."""
-    j = d.judgment
+    typ, j = EXAMPLE_TYPES[tag], d.judgment
     if len(j.env):
         raise PreconditionError("soundness check needs an empty environment")
-    if j.typ != EXAMPLE_TYPES[tag]:
+    if j.typ != typ:
         raise PreconditionError("derivation does not conclude at the tagged type")
     v = oracle_membership(tag, j.subject, fuel)
     return v.member
@@ -237,9 +249,9 @@ def saturation_check(
         key = alpha_key(m)
         if key in member_keys:
             continue
-        # a fresh cache per term, so no alpha-variant leaks between terms;
-        # the walk stops at the first member it reaches
-        space = reachable(m, key, r, depth, {})
+        # one walk steps each key once, so it keeps no step cache, and no
+        # alpha-variant leaks between terms; it stops at the first member
+        space = reachable(m, key, r, depth, None)
         hit = next((t for k, t in space if k in member_keys), None)
         if hit is not None:
             report.violations.append((m, hit))

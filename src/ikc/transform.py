@@ -24,12 +24,12 @@ transports take each step through one walker, _rewrite, which rebuilds the
 omega, interI, sub and exp nodes and the congruences along the step's path
 alike in either direction; only the action at the redex differs.  A beta
 contraction asks _abs_premise for the abstraction's premise at the one arrow
-component the application uses; an expansion un-substitutes the contractum.
+component the application uses; an expansion, _expand_redex, is handed an
+ax, arrI, arrIW or arrE node at degree [], since _rewrite has peeled the
+rest, and un-substitutes the contractum under one arrE over arrI or arrIW.
 """
 
 from __future__ import annotations
-
-from functools import partial, reduce
 
 from .errors import NotAnExpansionError, NotAReductError, PreconditionError
 from .syntax import (
@@ -391,14 +391,10 @@ def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
     x = VarKey(redex.fun.var, redex.fun.idx)
     comp = d.fun.judgment.typ.comps[0]
     binds, prem = _abs_premise(d.fun, comp)
-    target = _target(d, reduct)
-    if binds:
-        out = _subst_d(prem, x, d.arg, reduct, {})
-    else:
-        out = sub_to(prem, target, CT((), (comp.res,)))
+    out = _subst_d(prem, x, d.arg, reduct, {}) if binds else prem
     jo = out.judgment
     assert jo.subject == reduct, (print_term(jo.subject), print_term(reduct))
-    return sub_to(out, target, jo.typ)
+    return sub_to(out, _target(d, reduct), jo.typ)
 
 
 def _contract_eta(d: Derivation, reduct: Term) -> Derivation:
@@ -441,35 +437,17 @@ def expand_along(d: Derivation, trail: list[tuple[Term, Path]]) -> Derivation:
 
 
 def _expand_redex(d: Derivation, src: Term) -> Derivation:
-    """Rebuild a derivation of the redex src from one of its contractum."""
-    j = d.judgment
+    """Rebuild a derivation of the redex src from one of its contractum.
+
+    _rewrite peels every omega, interI, sub and exp node first, so d is an
+    ax, arrI, arrIW or arrE node concluding one component at degree []."""
     assert isinstance(src, App) and isinstance(src.fun, Abs)
     fun = src.fun
     x = VarKey(fun.var, fun.idx)
-    p, q = fun.body, src.arg
-    u = j.typ
-    k = u.prefix
-    assert fun.idx[: len(k)] == k, "binder index must extend the type degree"
-    residual = fun.idx[len(k):]
-
-    if u.is_omega():
-        return sub_to(OmegaRule(src), _target(d, src), u)
-
-    if p._fv.get(x.name) == x.idx:
-        v, dp, dq = _split(d, x, p, q)
-        dp_low = lower_derivation(dp, k)
-        dq_low = lower_derivation(dq, k)
-        intro = partial(ArrI, x.name, residual, lower_type(v, k))
-    else:
-        dp_low = lower_derivation(d, k)
-        dq_low = OmegaRule(lower(q, k))
-        intro = partial(ArrIW, x.name, residual)
-    env = dp_low.judgment.env
-    pieces = [ArrE(intro(sub_to(dp_low, env, CT((), (t,)))), dq_low) for t in u.comps]
-    out = reduce(InterI, pieces)
-    for head in reversed(k):
-        out = ExpRule(head, out)
-    return out
+    if fun.body._fv.get(x.name) == x.idx:
+        v, dp, dq = _split(d, x, fun.body, src.arg)
+        return ArrE(ArrI(x.name, x.idx, v, dp), dq)
+    return ArrE(ArrIW(x.name, x.idx, d), OmegaRule(src.arg))
 
 
 def _split(

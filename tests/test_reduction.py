@@ -141,6 +141,17 @@ def test_equiv_alpha_only():
     assert equiv(a, b, Relation.BETA, 1) is Verdict.EQUIVALENT
 
 
+def test_equiv_steps_both_terms_when_one_graph_never_ends():
+    # n reduces to m in one step, while m's own reducts grow without end: a
+    # search that always stepped the side with the smaller frontier, m's on
+    # a tie, never stepped n
+    w = "(lam x [] (app (lam x [1] (lam y [1] (app x[] x[]))) x[]))"
+    m = parse_term(f"(app (lam x [1] (lam y [1] (app {w} {w}))) {w})")
+    n = parse_term(f"(app {w} {w})")
+    for fuel in (3, 50):
+        assert equiv(m, n, Relation.BETA, fuel) is Verdict.EQUIVALENT
+
+
 OMEGA = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
 # a term whose every reduct is larger: its reduction graph never ends
 O3 = "(app (lam x [] (app (app x[] x[]) x[])) (lam x [] (app (app x[] x[]) x[])))"

@@ -243,3 +243,18 @@ def test_verdict_line_non_member():
     m = pt(OMEGA)
     line = verdict_line(m, oracle_membership("id0", m))
     assert "\tnon-member\t" in line
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_membership("id9", parse_term("(lam y [] y[])")),
+        lambda: soundness_check(parse_derivation("(arrI x [] a (ax x a))"), "id9"),
+        lambda: completeness_sample("id9", 3),
+        lambda: lift_correspondence("id9", "id0", [parse_term("(lam y [] y[])")]),
+    ],
+    ids=["oracle", "soundness", "completeness", "lift"],
+)
+def test_unknown_tag_is_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="unknown interpretation tag: id9; expected one of"):
+        call()
