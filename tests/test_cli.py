@@ -120,6 +120,51 @@ def test_sr_transports(capsys):
     assert out.startswith("(judg y[]")
 
 
+def test_expand_writes_a_certificate_that_checks(capsys, tmp_path):
+    out_file = tmp_path / "expanded.drv"
+    src = "(app (lam z [] z[]) (lam y [] y[]))"
+    code, out, err = run(
+        capsys, "expand", str(CORPUS / "id0.drv"), "--out", str(out_file), "--", src
+    )
+    assert (code, out, err) == (0, f"(judg {src} () (-> a a))\n", "")
+    assert out_file.read_text() == (
+        "(arrE (arrI z [] (-> a a) (ax z (-> a a))) (arrI y [] a (ax y a)))\n"
+    )
+    assert run(capsys, "check-deriv", str(out_file)) == (0, out, "")
+
+
+def test_sr_writes_a_certificate_that_checks(capsys, tmp_path):
+    out_file = tmp_path / "reduced.drv"
+    code, out, err = run(
+        capsys, "sr", str(CORPUS / "id0-redex.drv"), "--out", str(out_file), "--", "(lam y [] y[])"
+    )
+    assert (code, out, err) == (0, "(judg (lam y [] y[]) () (-> a a))\n", "")
+    assert out_file.read_text() == (
+        "(sub (interI (arrI y [] (-> a a) (ax y (-> a a))) (arrI y [] a (ax y a)))"
+        " () (-> a a))\n"
+    )
+    assert run(capsys, "check-deriv", str(out_file)) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["sr", str(CORPUS / "id0.drv"), "--", "(lam z [] z[])"],
+            "failed\t(lam z [] z[]) is not a betaeta-reduct of (lam y [] y[])\n",
+        ),
+        (
+            ["expand", "(arrE (ax f a) (ax y a))", "--", "y[]"],
+            "failed\tarrE: left type a is not an arrow\n",
+        ),
+    ],
+)
+def test_failed_transports_print_one_line_and_exit_one(capsys, tmp_path, argv, out):
+    out_file = tmp_path / "never.drv"
+    assert run(capsys, *argv[:-2], "--out", str(out_file), *argv[-2:]) == (1, out, "")
+    assert not out_file.exists()
+
+
 def test_sr_renames_under_an_omega_rule_like_the_reduct(capsys):
     deriv = (
         "(arrE (arrI x [] (-> a b) (arrE (arrIW y [] (arrIW _r0 [] (ax x (-> a b))))"
@@ -538,6 +583,22 @@ def test_check_deriv_ill_formed_subject_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: application degree [1]")
+
+
+@pytest.mark.parametrize(
+    "deriv, code, out, err",
+    [
+        (
+            "(arrE (arrIW y [1] (ax x a)) (w x[1]))",
+            1,
+            "invalid\tarrE: premise environments disagree on a shared name\n",
+            "",
+        ),
+        ("(foo)", 2, "", "input error: unknown derivation head 'foo'\n"),
+    ],
+)
+def test_check_deriv_rule_fault_exits_one_and_syntax_fault_two(capsys, deriv, code, out, err):
+    assert run(capsys, "check-deriv", deriv) == (code, out, err)
 
 
 def test_ill_formed_term_is_a_negative_answer(capsys):

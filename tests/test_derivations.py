@@ -23,7 +23,7 @@ from ikc.derivations import (
     var_intro,
 )
 from ikc.envs import parse_env, print_judgment
-from ikc.errors import RuleError
+from ikc.errors import InputSyntaxError, RuleError
 from ikc.syntax import parse_term
 from ikc.types import CanonType, CArrow, CAtom, parse_type
 
@@ -117,6 +117,60 @@ def test_parsing_checks_each_rule_as_it_builds():
     assert print_judgment(d.judgment) == "(judg (app f[] y[]) ((f [] (-> a b)) (y [] a)) b)"
     with pytest.raises(RuleError, match="arrE: left type a is not an arrow"):
         parse_derivation("(arrE (ax f a) (ax y a))")
+
+
+def test_arr_e_joins_premises_over_different_names():
+    d = parse_derivation("(arrE (arrIW y [1] (ax x a)) (w y[1]))")
+    assert check(d) == "(judg (app (lam y [1] x[]) y[1]) ((x [] a) (y [1] (w [1]))) a)"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (
+            "(arrE (arrIW y [1] (ax x a)) (w x[1]))",
+            RuleError,
+            "arrE: premise environments disagree on a shared name",
+        ),
+        (
+            "(interI (ax x a) (ax x b))",
+            RuleError,
+            "interI: premises use different environments; interI' meets them",
+        ),
+        ("(interI (ax x a) (ax y a))", RuleError, "interI: premises type different subjects"),
+        (
+            "(arrIW y [] (w x[]))",
+            RuleError,
+            "arrIW: type (w []) is not a single component at degree []",
+        ),
+        (
+            "(sub (ax x a) ((y [] a)) a)",
+            RuleError,
+            "sub: target environment domain differs from the premise",
+        ),
+        ("(sub (ax x a) ((x [] a)) b)", RuleError, "sub: a is not a subtype of b"),
+        (
+            "(sub (ax' x (^ a b)) ((x [] a)) (^ a b))",
+            RuleError,
+            "sub: target environment is not pointwise stronger than the premise",
+        ),
+        ("foo", InputSyntaxError, "expected a derivation form"),
+        ("()", InputSyntaxError, "expected a derivation form"),
+        ("(ax 1 a)", InputSyntaxError, "(ax name type)"),
+        ("(w x[] y[])", InputSyntaxError, "(w term)"),
+        ("(arrI x [] a)", InputSyntaxError, "(arrI name index type derivation)"),
+        ("(arrIW x [])", InputSyntaxError, "(arrIW name index derivation)"),
+        ("(arrE (ax x a))", InputSyntaxError, "(arrE derivation derivation)"),
+        ("(exp x (ax x a))", InputSyntaxError, "(exp natural derivation)"),
+        ("(sub (ax x a))", InputSyntaxError, "(sub derivation env type)"),
+        ("(foo)", InputSyntaxError, "unknown derivation head 'foo'"),
+    ],
+)
+def test_bad_certificates_name_their_fault(text, error, message):
+    with pytest.raises(error) as info:
+        parse_derivation(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- macros

@@ -253,6 +253,24 @@ def test_subject_reduce_rejects_non_reducts():
         subject_reduce(d, parse_term("(lam w [] (lam q [] w[]))"), Relation.BETA)
 
 
+def test_subject_reduce_fuel_counts_the_steps_it_tries():
+    # two steps from the redex, then the first step of the first reduct
+    d = parse_derivation(
+        "(arrE (arrI g [] (-> a a) (ax' g (-> a a)))"
+        " (arrI x [] a (arrE (arrI w [] a (ax' w a)) (ax' x a))))"
+    )
+    target = parse_term("(lam x [] x[])")
+    for fuel in (0, 1, 2):
+        with pytest.raises(NotAReductError) as info:
+            subject_reduce(d, target, Relation.BETA, fuel)
+        assert str(info.value) == (
+            "(lam x [] x[]) is not a beta-reduct of"
+            " (app (lam g [] g[]) (lam x [] (app (lam w [] w[]) x[])))"
+        )
+    out = subject_reduce(d, target, Relation.BETA, 3)
+    assert print_derivation(out) == "(arrI x [] a (ax x a))"
+
+
 def test_subject_reduce_under_expansion():
     d = parse_derivation("(exp 1 (arrE (arrI x [] a (ax' x a)) (ax' y a)))")
     out = subject_reduce(d, parse_term("y[1]"), Relation.BETA)
@@ -507,6 +525,45 @@ def test_subst_derivation_renames_a_binder_under_an_exp_node():
     )
 
 
+def test_subst_derivation_renames_a_binder_key_through_an_exp_node():
+    # the renamed binder y^[1] is free under the exp node, so the walk lowers
+    # its key with the subject and renames the ax node below
+    dm = parse_derivation("(arrI y [1] (e 1 a) (arrE (ax x (-> (e 1 a) b)) (exp 1 (ax y a))))")
+    out = subst_derivation(dm, VarKey("x", ()), parse_derivation("(ax y (-> (e 1 a) b))"))
+    assert print_derivation(out) == (
+        "(arrI _r0 [1] (e 1 a) (arrE (ax y (-> (e 1 a) b)) (exp 1 (ax _r0 a))))"
+    )
+    assert pj(out) == "(judg (lam _r0 [1] (app y[] _r0[1])) ((y [] (-> (e 1 a) b))) (-> (e 1 a) b))"
+
+
+def test_subst_derivation_renames_a_binder_under_an_omega_node():
+    # x is not free in (w y[]), but the renamed binder y is
+    dm = parse_derivation(
+        "(arrI y [] a (arrE (arrE (ax x (-> a (-> (w []) b))) (ax y a)) (w y[])))"
+    )
+    out = subst_derivation(dm, VarKey("x", ()), parse_derivation("(ax y (-> a (-> (w []) b)))"))
+    assert print_derivation(out) == (
+        "(arrI _r0 [] a (arrE (arrE (ax y (-> a (-> (w []) b))) (ax _r0 a)) (w _r0[])))"
+    )
+    assert pj(out) == (
+        "(judg (lam _r0 [] (app (app y[] _r0[]) _r0[])) ((y [] (-> a (-> (w []) b)))) (-> a b))"
+    )
+
+
+@pytest.mark.parametrize(
+    "x, dn, message",
+    [
+        ("z", "(ax y a)", "z[] is not in the subject environment"),
+        ("x", "(ax y b)", "replacement derivation concludes at a different type than the binding"),
+    ],
+)
+def test_subst_derivation_preconditions(x, dn, message):
+    dm = parse_derivation("(arrE (ax f (-> a b)) (ax x a))")
+    with pytest.raises(PreconditionError) as info:
+        subst_derivation(dm, VarKey(x, ()), parse_derivation(dn))
+    assert str(info.value) == message
+
+
 def test_subst_derivation_through_an_interI_node():
     dm = parse_derivation(
         "(interI (sub (ax x a) ((x [] (^ a b))) a) (sub (ax x b) ((x [] (^ a b))) b))"
@@ -553,6 +610,15 @@ def test_eta_generation_through_an_interI_node():
     out = subject_reduce(d, parse_term("y[]"), Relation.ETA)
     assert print_derivation(out) == "(ax y (-> a b))"
     assert pj(out) == "(judg y[] ((y [] (-> a b))) (-> a b))"
+
+
+def test_eta_generation_through_a_sub_node():
+    d = parse_derivation(
+        "(arrI x [] a (sub (arrE (ax y (-> a a)) (ax x a)) ((x [] a) (y [] (-> a a))) a))"
+    )
+    out = subject_reduce(d, parse_term("y[]"), Relation.ETA)
+    assert print_derivation(out) == "(ax y (-> a a))"
+    assert pj(out) == "(judg y[] ((y [] (-> a a))) (-> a a))"
 
 
 def test_beta_contraction_through_a_sub_over_arrIW():
