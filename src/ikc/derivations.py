@@ -21,7 +21,9 @@ read.  The rules (ASCII, environments on the left of |-):
 
 Success guarantees the reported environment is OK, binds exactly the free
 variables of the subject, and every binding degree extends the type degree,
-which equals the subject degree.
+which equals the subject degree.  So the side conditions on free variables
+(the arrIW binder, the names arrE's premises share) are read off the
+premises' subjects.
 
 Two macros elaborate into the primitives before checking: (interI' d1 d2)
 meets premises with different environments by subruling both to the pointwise
@@ -49,6 +51,7 @@ from .syntax import (
     Var,
     VarKey,
     index_str,
+    joinable,
     lift,
     print_term,
     term_at,
@@ -72,7 +75,6 @@ from .envs import (
     Judgment,
     env_expand,
     env_inter,
-    env_joinable,
     env_of_node,
     env_omega,
     env_without,
@@ -157,7 +159,7 @@ class ArrIW(_Rule):
 
     def __init__(self, var: str, idx: Index, premise: "Derivation"):
         jp = premise.judgment
-        if VarKey(var, idx) in jp.env:
+        if jp.subject._fv.get(var) == idx:
             raise RuleError("arrIW", f"{var}{index_str(idx)} occurs in the premise environment")
         t = _single(jp.typ, "arrIW")
         _set(self, "var", var)
@@ -185,7 +187,7 @@ class ArrE(_Rule):
                 f"argument type {print_type(ja.typ)} differs from the arrow "
                 f"argument {print_type(tf.arg)}",
             )
-        if not env_joinable(jf.env, ja.env):
+        if not joinable(jf.subject, ja.subject):
             raise RuleError("arrE", "premise environments disagree on a shared name")
         _set(self, "fun", fun)
         _set(self, "arg", arg)

@@ -3,7 +3,11 @@
 An environment is OK when every binding x^L : U satisfies d(U) = L.  The
 checker only ever produces OK environments whose domain is exactly the free
 variables of the subject; parsers accept any functional literal and leave
-OK-ness to the rules.
+OK-ness to the rules.  Facts about those free variables (which names, at
+which Index, whether two subjects join) are read off the subject term, never
+rebuilt from an environment's keys.  One function, env_pad, gives an
+environment exactly a given key set, at omega where it has no binding;
+env_omega, env_enlarge and the transports' rebuilt environments call it.
 """
 
 from __future__ import annotations
@@ -66,18 +70,13 @@ def env_ok(g: Env) -> bool:
     return all(u.degree == key.idx for key, u in g)
 
 
+def env_pad(g: Env, keys) -> Env:
+    """g on exactly the keys, at omega where g has no binding."""
+    return mk_env((key, g.get(key) or omega(key.idx)) for key in keys)
+
+
 def env_omega(m: Term) -> Env:
-    return mk_env((key, omega(key.idx)) for key in free_vars(m))
-
-
-def env_joinable(g1: Env, g2: Env) -> bool:
-    names: dict[str, Index] = {}
-    for key, _ in g1:
-        names[key.name] = key.idx
-    for key, _ in g2:
-        if names.setdefault(key.name, key.idx) != key.idx:
-            return False
-    return True
+    return env_pad(env_empty(), free_vars(m))
 
 
 def env_inter(g1: Env, g2: Env) -> Env:
@@ -123,8 +122,7 @@ def env_restrict(g: Env, keys) -> Env:
 
 def env_enlarge(g: Env, keys) -> Env:
     """Extend g with omega bindings so its domain covers keys."""
-    extra = [(key, omega(key.idx)) for key in frozenset(keys) - g.domain()]
-    return mk_env(list(g.items) + extra)
+    return env_pad(g, g.domain() | frozenset(keys))
 
 
 def env_without(g: Env, key: VarKey) -> Env:

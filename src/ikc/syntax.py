@@ -16,8 +16,9 @@ layer, so constructors check them eagerly, and store each node's degree.
 A node's free-variable map (_fv) may be shared with its parts and with other
 nodes: an Abs reuses its body's map when the binder is not free in it, an App
 reuses the map of a side that covers the other, and every closed Abs shares
-one empty map.  So a map is never mutated after construction; free_map gives
-a private, mutable copy.
+one empty map.  So a map is never mutated after construction.  It is the
+one record of a term's free variables: free_vars, joinable and the layers
+above read it, and none rebuilds it.
 
 Each node also stores its redex mask (redexes): BETA_BIT is set when the node
 contains a beta redex (an App (lam x^L. P) Q with d(Q) = L) and ETA_BIT when
@@ -73,7 +74,7 @@ ETA_BIT = 2
 
 
 # Each node's _fv is its free-variable map, name -> Index.  A map may belong
-# to many nodes, so none is mutated after its constructor; free_map copies.
+# to many nodes, so none is mutated after its constructor.
 # _NO_FV is the one map of every closed abstraction.
 _NO_FV: dict[str, Index] = {}
 
@@ -197,11 +198,6 @@ def is_eta_redex(m: Term) -> bool:
 
 def free_vars(m: Term) -> frozenset[VarKey]:
     return frozenset(VarKey(n, l) for n, l in m._fv.items())
-
-
-def free_map(m: Term) -> dict[str, Index]:
-    """The functional name -> Index view of free_vars."""
-    return dict(m._fv)
 
 
 def all_names(m: Term) -> frozenset[str]:

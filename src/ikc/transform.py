@@ -20,13 +20,17 @@ same walk.
   expand_along          the same, along a given trail of beta steps
 
 lower_derivation also takes the ax' and interI' macros as they are.  Both
-transports take each step through one walker, _rewrite, which rebuilds the
-omega, interI, sub and exp nodes and the congruences along the step's path
-alike in either direction; only the action at the redex differs.  A beta
-contraction asks _abs_premise for the abstraction's premise at the one arrow
-component the application uses; an expansion, _expand_redex, is handed an
-ax, arrI, arrIW or arrE node at degree [], since _rewrite has peeled the
-rest, and un-substitutes the contractum under one arrE over arrI or arrIW.
+transports find their steps by one breadth-first search, _find_reduction,
+which maps each term it reaches to the trail that first reached it, and
+take each step through one walker, _rewrite, which rebuilds the omega,
+interI, sub and exp nodes and the congruences along the step's path alike
+in either direction; only the action at the redex differs.  A rebuilt
+node's environment is its old one padded (env_pad) to the free variables of
+its new subject.  A beta contraction asks _abs_premise for the abstraction's
+premise at the one arrow component the application uses; an expansion,
+_expand_redex, is handed an ax, arrI, arrIW or arrE node at degree [], since
+_rewrite has peeled the rest, and un-substitutes the contractum under one
+arrE over arrI or arrIW.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ from .types import (
     subtype,
 )
 from .envs import (
-    Env,
     env_bind,
     env_inter,
     env_lower,
+    env_pad,
     env_restrict,
     env_without,
     mk_env,
@@ -97,25 +101,29 @@ def lower_derivation(d: Derivation, k: Index) -> Derivation:
     environment and the type are lowered together, in one walk: an exp node
     with head k[0] gives its premise lowered by the rest of k.
     """
+    return _lower_d(d, k)
+
+
+def _lower_d(d: Derivation, k: Index) -> Derivation:
     if not k:
         return d
     match d:
         case OmegaRule(subject):
             return OmegaRule(lower(subject, k))
         case InterI(left, right):
-            return InterI(lower_derivation(left, k), lower_derivation(right, k))
+            return InterI(_lower_d(left, k), _lower_d(right, k))
         case ExpRule(head, premise):
             if head != k[0]:
                 raise PreconditionError(
                     f"conclusion degree starts with {head}, cannot lower by {k[0]}"
                 )
-            return lower_derivation(premise, k[1:])
+            return _lower_d(premise, k[1:])
         case SubRule(premise, env, typ):
-            return SubRule(lower_derivation(premise, k), env_lower(env, k), lower_type(typ, k))
+            return SubRule(_lower_d(premise, k), env_lower(env, k), lower_type(typ, k))
         case MacroAx(name, typ):
             return MacroAx(name, lower_type(typ, k))
         case MacroInterI(left, right):
-            return MacroInterI(lower_derivation(left, k), lower_derivation(right, k))
+            return MacroInterI(_lower_d(left, k), _lower_d(right, k))
         case Ax() | ArrI() | ArrIW() | ArrE():
             raise PreconditionError("conclusion is at degree [], cannot lower")
     raise AssertionError(d)
@@ -187,7 +195,8 @@ def _subst_d(
 
         case ArrE(fun, arg):
             dn_f = dn_a = dn
-            if dn is not None and x in fun.judgment.env and x in arg.judgment.env:
+            m = d.judgment.subject
+            if dn is not None and m.fun._fv.get(x.name) == x.idx == m.arg._fv.get(x.name):
                 jn = dn.judgment
                 dn_f = sub_to(dn, jn.env, fun.judgment.env.get(x))
                 dn_a = sub_to(dn, jn.env, arg.judgment.env.get(x))
@@ -297,8 +306,9 @@ def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
             return InterI(
                 _rewrite(left, new, path, at_redex), _rewrite(right, new, path, at_redex)
             )
-        case SubRule(premise, _, typ):
-            return sub_to(_rewrite(premise, new, path, at_redex), _target(d, new), typ)
+        case SubRule(premise, env, typ):
+            inner = _rewrite(premise, new, path, at_redex)
+            return sub_to(inner, env_pad(env, free_vars(new)), typ)
         case ExpRule(head, premise):
             return ExpRule(head, _rewrite(premise, lower(new, (head,)), path, at_redex))
     if not path:
@@ -317,15 +327,8 @@ def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
             rebuilt = ArrE(fun, _rewrite(arg, new.arg, path[1:], at_redex))
         case _:
             raise AssertionError((d, path))
-    return sub_to(rebuilt, _target(d, new), d.judgment.typ)
-
-
-def _target(d: Derivation, new: Term) -> Env:
-    """d's environment on the free variables of new, at omega where it has
-    no binding: the restriction after a reduction step, the omega-enlargement
-    after an expansion step."""
-    g = d.judgment.env
-    return mk_env((k, g.get(k) or omega(k.idx)) for k in free_vars(new))
+    j = d.judgment
+    return sub_to(rebuilt, env_pad(j.env, free_vars(new)), j.typ)
 
 
 # ---------------------------------------------------------------- reduction
@@ -353,34 +356,27 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
 
 def _find_reduction(
     m: Term, n: Term, r: Relation, fuel: int
-) -> list[tuple[str, Path, Term]] | None:
-    """BFS for a step sequence m ->>_r n, returned as (kind, path, reduct)."""
+) -> tuple[tuple[str, Path, Term], ...] | None:
+    """BFS for a step sequence m ->>_r n, returned as (kind, path, reduct).
+
+    Each term reached maps to the trail that first reached it; the search
+    gives up after fuel steps."""
     if m == n:
-        return []
-    parents: dict[Term, tuple[Term, str, Path]] = {m: None}
+        return ()
+    trails = {m: ()}
     front = [m]
-    budget = fuel
-    while front and budget > 0:
+    while front and fuel > 0:
         nxt = []
         for t in front:
             for kind, path, reduct in step_positions(t, r):
-                budget -= 1
-                if reduct not in parents:
-                    parents[reduct] = (t, kind, path)
+                if reduct not in trails:
+                    trails[reduct] = trails[t] + ((kind, path, reduct),)
                     if reduct == n:
-                        out = []
-                        cur = n
-                        while parents[cur] is not None:
-                            prev, kind2, path2 = parents[cur]
-                            out.append((kind2, path2, cur))
-                            cur = prev
-                        out.reverse()
-                        return out
+                        return trails[n]
                     nxt.append(reduct)
-                if budget <= 0:
-                    break
-            if budget <= 0:
-                break
+                fuel -= 1
+                if fuel == 0:
+                    return None
         front = nxt
     return None
 
@@ -394,7 +390,7 @@ def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
     out = _subst_d(prem, x, d.arg, reduct, {}) if binds else prem
     jo = out.judgment
     assert jo.subject == reduct, (print_term(jo.subject), print_term(reduct))
-    return sub_to(out, _target(d, reduct), jo.typ)
+    return sub_to(out, env_pad(d.judgment.env, free_vars(reduct)), jo.typ)
 
 
 def _contract_eta(d: Derivation, reduct: Term) -> Derivation:
@@ -477,7 +473,7 @@ def _split(
 
         case SubRule(premise, env, typ):
             v, dp0, dq0 = _split(premise, x, p, q)
-            p_keys = frozenset(free_vars(p)) - {x}
+            p_keys = free_vars(p) - {x}
             q_keys = free_vars(q)
             ep = env_bind(env_restrict(env, p_keys), x, v)
             dp = sub_to(dp0, ep, typ)

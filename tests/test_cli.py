@@ -120,30 +120,33 @@ def test_sr_transports(capsys):
     assert out.startswith("(judg y[]")
 
 
-def test_expand_writes_a_certificate_that_checks(capsys, tmp_path):
-    out_file = tmp_path / "expanded.drv"
-    src = "(app (lam z [] z[]) (lam y [] y[]))"
-    code, out, err = run(
-        capsys, "expand", str(CORPUS / "id0.drv"), "--out", str(out_file), "--", src
-    )
-    assert (code, out, err) == (0, f"(judg {src} () (-> a a))\n", "")
-    assert out_file.read_text() == (
-        "(arrE (arrI z [] (-> a a) (ax z (-> a a))) (arrI y [] a (ax y a)))\n"
-    )
-    assert run(capsys, "check-deriv", str(out_file)) == (0, out, "")
-
-
-def test_sr_writes_a_certificate_that_checks(capsys, tmp_path):
-    out_file = tmp_path / "reduced.drv"
-    code, out, err = run(
-        capsys, "sr", str(CORPUS / "id0-redex.drv"), "--out", str(out_file), "--", "(lam y [] y[])"
-    )
-    assert (code, out, err) == (0, "(judg (lam y [] y[]) () (-> a a))\n", "")
-    assert out_file.read_text() == (
-        "(sub (interI (arrI y [] (-> a a) (ax y (-> a a))) (arrI y [] a (ax y a)))"
-        " () (-> a a))\n"
-    )
-    assert run(capsys, "check-deriv", str(out_file)) == (0, out, "")
+@pytest.mark.parametrize(
+    "verb, deriv, term, certificate",
+    [
+        (
+            "expand",
+            "id0.drv",
+            "(app (lam z [] z[]) (lam y [] y[]))",
+            "(arrE (arrI z [] (-> a a) (ax z (-> a a))) (arrI y [] a (ax y a)))",
+        ),
+        (
+            "sr",
+            "id0-redex.drv",
+            "(lam y [] y[])",
+            "(sub (interI (arrI y [] (-> a a) (ax y (-> a a))) (arrI y [] a (ax y a)))"
+            " () (-> a a))",
+        ),
+    ],
+)
+def test_transports_write_a_certificate_that_checks(
+    capsys, tmp_path, verb, deriv, term, certificate
+):
+    out_file = tmp_path / "out.drv"
+    judgment = f"(judg {term} () (-> a a))\n"
+    argv = (verb, str(CORPUS / deriv), "--out", str(out_file), "--", term)
+    assert run(capsys, *argv) == (0, judgment, "")
+    assert out_file.read_text() == certificate + "\n"
+    assert run(capsys, "check-deriv", str(out_file)) == (0, judgment, "")
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ from ikc.envs import (
     env_enlarge,
     env_expand,
     env_inter,
-    env_joinable,
     env_lower,
     env_ok,
     env_omega,
+    env_pad,
     env_restrict,
     env_sub,
     env_without,
@@ -62,6 +62,12 @@ def test_env_restrict_and_without():
     assert env_without(g, key("y")) == env("((x [] a))")
 
 
+def test_env_pad_binds_exactly_the_keys():
+    g = env("((x [] a) (y [] b))")
+    m = parse_term("(app x[] z[1])")
+    assert env_pad(g, free_vars(m)) == env("((x [] a) (z [1] (w [1])))")
+
+
 def test_env_enlarge_pads_with_omega():
     g = env("((x [] a))")
     m = parse_term("(app x[] y[])")
@@ -86,11 +92,6 @@ def test_env_sub_is_pointwise():
     weak = env("((x [] a))")
     assert env_sub(strong, weak)
     assert not env_sub(weak, strong)
-
-
-def test_env_joinable():
-    assert env_joinable(env("((x [] a))"), env("((y [1] (e 1 a)))"))
-    assert not env_joinable(env("((x [] a))"), env("((x [1] (e 1 a)))"))
 
 
 # ---------------------------------------------------------------- judgments

@@ -20,7 +20,6 @@ from ikc.syntax import (
     alpha_eq,
     alpha_key,
     all_names,
-    free_map,
     free_vars,
     is_beta_redex,
     is_closed,
@@ -67,7 +66,7 @@ def test_abs_binder_extends_body_degree():
 def test_abs_binder_key_exact():
     inner = App(Var("y", ()), Var("x", (1,)))
     m = Abs("x", (), inner)
-    assert free_map(m) == {"y": (), "x": (1,)}
+    assert m._fv == {"y": (), "x": (1,)}
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def test_app_reuses_the_map_that_covers_the_other():
     covering = App(Var("x", ()), arg)
     assert covering._fv is arg._fv
     joined = App(Var("f", ()), Var("y", ()))
-    assert free_map(joined) == {"f": (), "y": ()}
+    assert joined._fv == {"f": (), "y": ()}
     assert joined._fv is not joined.fun._fv and joined._fv is not joined.arg._fv
 
 
@@ -181,7 +180,7 @@ def test_derived_slots_leave_node_identity_alone():
     assert Abs(var="x", idx=(), body=Var(name="x", idx=())) == parse_term("(lam x [] x[])")
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and copy.redexes == m.redexes == BETA_BIT | ETA_BIT
-    assert copy.degree == () and free_map(copy) == {"f": (), "y": ()}
+    assert copy.degree == () and copy._fv == {"f": (), "y": ()}
 
 
 @pytest.mark.parametrize(
@@ -286,7 +285,7 @@ def _ref_lower1(m, i):
 
 def _ref_alpha_canon(m):
     """The recursive alpha_canon that the read-back from alpha_key replaced."""
-    taken = set(free_map(m))
+    taken = set(m._fv)
     supply = []
 
     def grab(n):
@@ -360,7 +359,7 @@ def test_substitute_avoids_capture():
     body = out
     assert isinstance(body, Abs)
     assert body.var != "z"
-    assert free_map(out) == {"z": ()}
+    assert out._fv == {"z": ()}
 
 
 def test_substitute_ignores_other_indexes():
@@ -537,7 +536,7 @@ def test_every_index_extends_degree(seed):
 @given(st.integers(0, 120))
 def test_free_map_functional(seed):
     m = rand(seed)
-    fm = free_map(m)
+    fm = m._fv
     assert len(free_vars(m)) == len(fm)
     assert is_closed(m) == (not fm)
 

@@ -533,7 +533,9 @@ def test_subst_derivation_renames_a_binder_key_through_an_exp_node():
     assert print_derivation(out) == (
         "(arrI _r0 [1] (e 1 a) (arrE (ax y (-> (e 1 a) b)) (exp 1 (ax _r0 a))))"
     )
-    assert pj(out) == "(judg (lam _r0 [1] (app y[] _r0[1])) ((y [] (-> (e 1 a) b))) (-> (e 1 a) b))"
+    assert pj(out) == (
+        "(judg (lam _r0 [1] (app y[] _r0[1])) ((y [] (-> (e 1 a) b))) (-> (e 1 a) b))"
+    )
 
 
 def test_subst_derivation_renames_a_binder_under_an_omega_node():
