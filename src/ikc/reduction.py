@@ -14,7 +14,9 @@ Step enumeration reads the redex mask each term node stores (see syntax): it
 is one explicit-stack walk that enters only the subtrees containing a redex
 of the requested kind, so no walk recurses in step enumeration, whatever the
 depth of the term, and first_step, step_positions, LeftmostBeta and
-check_local_confluence answer in O(1) on a normal form.
+check_local_confluence answer in O(1) on a normal form; the confluence
+checker tests the mask first (h the beta bit: a head step is a beta step),
+so a redex-free query makes no step list, set or alpha key.
 
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
@@ -118,6 +120,7 @@ _KINDS = {
     Relation.BETA: BETA_BIT,
     Relation.ETA: ETA_BIT,
     Relation.BETAETA: BETA_BIT | ETA_BIT,
+    Relation.H: BETA_BIT,  # a head step is a beta step
 }
 
 
@@ -329,9 +332,16 @@ def check_local_confluence(m: Term, r: Relation, depth: int) -> ConfluenceReport
     A peak t1 <- t -> t2 counts as joined when the reducts of t1 and t2 share
     a term within depth + 2 further steps.  Each term is stepped once per
     call: the peaks and the join searches share one cache.
+
+    The redex mask answers first, so a term with no redex of r's kinds, the
+    common query, is neither stepped nor keyed.  h tests the beta bit, since
+    every head step is a beta step; but a beta redex off the head is no head
+    step, so under h alone a term can pass the mask and still have no step.
     """
+    if not m.redexes & _KINDS[r]:
+        return ConfluenceReport(0, [])
     first = _keyed_steps(m, r)
-    if not first:  # no step, no peak: the common case, so m is not keyed
+    if not first:  # h only: no beta redex at the head
         return ConfluenceReport(0, [])
     key = alpha_key(m)
     cache = {key: first}

@@ -21,7 +21,8 @@ same walk.
 
 lower_derivation also takes the ax' and interI' macros as they are.  Both
 transports find their steps by one breadth-first search, _find_reduction,
-which maps each term it reaches to the trail that first reached it, and
+which maps each term it reaches to the trail that first reached it (where
+a failed subject_reduce looks for an alpha-variant of its target), and
 take each step through one walker, _rewrite, which rebuilds the omega,
 interI, sub and exp nodes and the congruences along the step's path alike
 in either direction; only the action at the redex differs.  A rebuilt
@@ -43,6 +44,7 @@ from .syntax import (
     Term,
     Var,
     VarKey,
+    alpha_key,
     free_vars,
     index_str,
     lower,
@@ -340,14 +342,19 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
     The result types N at the original type, in the original environment
     restricted to the free variables of N.  The step sequence is found by
     breadth-first search over exact reducts; NotAReductError if N is not
-    reachable within fuel steps.
+    reachable within fuel steps, naming the term reached if N is only an
+    alpha-variant of one.
     """
     d = elaborate(d)
     j = d.judgment
-    trail = _find_reduction(j.subject, n, r, fuel)
+    trails = _find_reduction(j.subject, n, r, fuel)
+    trail = trails.get(n)
     if trail is None:
+        key = alpha_key(n)
+        hit = next((t for t in trails if alpha_key(t) == key), None)
+        what = "not" if hit is None else f"an alpha-variant of {print_term(hit)}, not"
         raise NotAReductError(
-            f"{print_term(n)} is not a {r.value}-reduct of {print_term(j.subject)}"
+            f"{print_term(n)} is {what} a {r.value}-reduct of {print_term(j.subject)}"
         )
     for kind, path, reduct in trail:
         d = _rewrite(d, reduct, path, _contract_beta if kind == "beta" else _contract_eta)
@@ -356,15 +363,14 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
 
 def _find_reduction(
     m: Term, n: Term, r: Relation, fuel: int
-) -> tuple[tuple[str, Path, Term], ...] | None:
-    """BFS for a step sequence m ->>_r n, returned as (kind, path, reduct).
+) -> dict[Term, tuple[tuple[str, Path, Term], ...]]:
+    """BFS for a step sequence m ->>_r n, as (kind, path, reduct) steps.
 
-    Each term reached maps to the trail that first reached it; the search
-    gives up after fuel steps."""
-    if m == n:
-        return ()
+    Returns the map from each term reached, m first, to the trail that
+    first reached it; the search stops once it reaches n, or after fuel
+    steps, so n is a key exactly when it was found."""
     trails = {m: ()}
-    front = [m]
+    front = [] if m == n else [m]
     while front and fuel > 0:
         nxt = []
         for t in front:
@@ -372,13 +378,13 @@ def _find_reduction(
                 if reduct not in trails:
                     trails[reduct] = trails[t] + ((kind, path, reduct),)
                     if reduct == n:
-                        return trails[n]
+                        return trails
                     nxt.append(reduct)
                 fuel -= 1
                 if fuel == 0:
-                    return None
+                    return trails
         front = nxt
-    return None
+    return trails
 
 
 def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
@@ -415,7 +421,7 @@ def subject_expand_beta(d: Derivation, m: Term, fuel: int = 10000) -> Derivation
     """
     d = elaborate(d)
     j = d.judgment
-    trail = _find_reduction(m, j.subject, Relation.BETA, fuel)
+    trail = _find_reduction(m, j.subject, Relation.BETA, fuel).get(j.subject)
     if trail is None:
         raise NotAnExpansionError(
             f"{print_term(m)} does not beta-reduce to {print_term(j.subject)}"

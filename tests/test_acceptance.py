@@ -143,6 +143,7 @@ def test_criterion_4_local_confluence(enum7):
     peaks, unjoined = unjoined_peaks(enum7, rels, 3)
     dt = time.perf_counter() - t0
     assert not unjoined, [(rel.value, print_term(t)) for rel, _, t in unjoined[:5]]
+    assert peaks == 3174
     assert dt < 300.0, f"took {dt:.0f}s"
     print(
         f"criterion 4: pass - {len(enum7)} terms x {len(rels)} relations,"

@@ -20,6 +20,7 @@ from ikc.reduction import (
     step_positions,
 )
 from ikc.syntax import (
+    BETA_BIT,
     Abs,
     App,
     Var,
@@ -219,6 +220,42 @@ def test_confluence_peak_counts(text, rel, peaks):
     rep = check_local_confluence(parse_term(text), Relation(rel), 3)
     assert rep.peaks_checked == peaks
     assert rep.ok
+
+
+def _count_keying(monkeypatch):
+    """Count the checker's calls of _keyed_steps and alpha_key."""
+    calls = {"_keyed_steps": 0, "alpha_key": 0}
+    for name in calls:
+
+        def counting(*args, real=getattr(reduction, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(reduction, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, rel",
+    [("(lam x [] (app x[] (lam y [] y[])))", r) for r in Relation]
+    + [("(lam x [] (app f[] x[]))", Relation.BETA)],
+    ids=["beta", "eta", "betaeta", "h", "eta-only-under-beta"],
+)
+def test_redex_free_confluence_query_is_answered_from_the_mask(monkeypatch, text, rel):
+    calls = _count_keying(monkeypatch)
+    rep = check_local_confluence(parse_term(text), rel, 3)
+    assert (rep.peaks_checked, rep.ok) == (0, True)
+    assert calls == {"_keyed_steps": 0, "alpha_key": 0}
+
+
+def test_h_past_the_mask_with_no_head_step(monkeypatch):
+    # the beta bit is set, but the redex is under the binder
+    m = parse_term("(lam x [] (app (lam y [] y[]) x[]))")
+    assert m.redexes & BETA_BIT
+    calls = _count_keying(monkeypatch)
+    rep = check_local_confluence(m, Relation.H, 3)
+    assert (rep.peaks_checked, rep.ok) == (0, True)
+    assert calls == {"_keyed_steps": 1, "alpha_key": 0}
 
 
 def test_first_step_is_the_leftmost_outermost_step():
