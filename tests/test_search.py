@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pathlib
 import pickle
 import time
@@ -289,3 +290,60 @@ def test_omega_goal_is_found_without_normalising():
 def test_omega_argument_goal_is_found_by_the_omega_rule():
     out = found_at("(app y[] z[])", "((y [] (-> (w []) a)) (z [] (w [])))", "a")
     assert print_derivation(out.derivation) == "(arrE (ax y (-> (w []) a)) (w z[]))"
+
+
+# ---------------------------------------------------------------- pinned outcomes
+
+
+def _outcome_line(out) -> str:
+    if isinstance(out, Found):
+        return f"Found {print_derivation(out.derivation)}"
+    return f"{type(out).__name__} {out.reason}"
+
+
+def test_search_outcomes_print_as_pinned(corpus):
+    # every closed term of size <= 8 at each example type of its degree, and
+    # each certificate's judgment three ways: bare, behind one identity redex
+    # and behind two; the digest pins the printed outcomes, so a change in
+    # any derivation the search builds, or in any reason, shows here
+    from ikc.gen import enumerate_closed
+    from ikc.semantics import EXAMPLE_TYPES
+    from ikc.syntax import Abs, App, Var, all_names
+
+    by_degree: dict = {}
+    for u in EXAMPLE_TYPES.values():
+        by_degree.setdefault(u.degree, []).append(u)
+    lines = []
+    for m in enumerate_closed(8):
+        for u in by_degree.get(m.degree, ()):
+            lines.append(_outcome_line(bounded_typecheck(m, env_empty(), u)))
+    for _, _, j in corpus:
+        m, k = j.subject, j.subject.degree
+        assert not {"f0", "f0b"} & all_names(m)
+        once = App(Abs("f0", k, Var("f0", k)), m)
+        twice = App(Abs("f0", k, App(Abs("f0b", k, Var("f0b", k)), Var("f0", k))), m)
+        for s in (m, once, twice):
+            lines.append(_outcome_line(bounded_typecheck(s, j.env, j.typ)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 23734 + 90
+    assert digest == "938ea9ad86f728bd024bb1ca2768f67aad0ad40861d87a82147c8ea163360892"
+
+
+# the self-application at degree [1]: its leftmost path revisits it
+OMEGA1 = "(app (lam x [1] (app x[1] x[1])) (lam x [1] (app x[1] x[1])))"
+
+
+def test_degree_k_unknown_names_the_degree_k_term():
+    out = bounded_typecheck(parse_term(OMEGA1), env_empty(), parse_type("(e 1 a)"))
+    assert out == Unknown(f"no beta normal form: the leftmost path revisits {OMEGA1}")
+
+
+def test_degree_k_goal_fuel_boundary():
+    # one step of size 3, the degree-[1] goal on its normal form, and the
+    # goal lowered to degree []: fuel 5 covers them, fuel 4 does not
+    m = parse_term("(app (lam f [1] f[1]) (lam x [1] x[1]))")
+    u = parse_type("(e 1 (-> a a))")
+    assert bounded_typecheck(m, env_empty(), u, fuel=4) == Unknown("fuel exhausted")
+    out = bounded_typecheck(m, env_empty(), u, fuel=5)
+    assert isinstance(out, Found)
+    assert check_derivation(out.derivation) == Judgment(m, env_empty(), u)
