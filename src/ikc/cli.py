@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:  # the node parsers and printers still recurse
         print("input error: input nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:  # equiv's reachable sets can outgrow memory
+        print("input error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

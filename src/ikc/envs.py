@@ -8,30 +8,44 @@ which Index, whether two subjects join) are read off the subject term, never
 rebuilt from an environment's keys.  One function, env_pad, gives an
 environment exactly a given key set, at omega where it has no binding;
 env_omega, env_enlarge and the transports' rebuilt environments call it.
+
+Environments are hash-consed like the types (types._Interned): each item
+tuple is one Env, with identity == and hash, that stores its domain.
+env_pad and env_restrict return g itself on g's domain; env_bind, env_inter
+and env_pad keep their results in tables keyed by their interned arguments,
+which, like the type tables, live as long as the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DegreeError, DomainError, InputSyntaxError
 from .syntax import Index, Term, VarKey, free_vars, index_str, prefix_leq, print_term, term_at
 from .types import (
-    CanonType, expand_type, inter, lower_type, omega, print_type, subtype, type_of_node,
+    CanonType, _Interned, expand_type, inter, lower_type, omega, print_type, subtype,
+    type_of_node,
 )
 from . import sexpr
 
 
-# sets a slot of a frozen Env or Judgment; only their constructors use it
+# sets a slot of a frozen Judgment; only its constructor uses it
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Env:
+class Env(_Interned):
+    __slots__ = ("items",)
+    __match_args__ = ("items",)
+    _table: dict = {}
     items: tuple[tuple[VarKey, CanonType], ...]  # sorted by key, keys distinct
 
-    def __init__(self, items: tuple[tuple[VarKey, CanonType], ...]):
-        _set(self, "items", items)
+    def __new__(cls, items: tuple[tuple[VarKey, CanonType], ...]) -> "Env":
+        fields = (items,)
+        env = cls._table.get(fields)  # not `or`: the empty Env is falsy
+        if env is None:
+            env = cls._intern(fields, frozenset(k for k, _ in items))
+        return env
 
     def get(self, key: VarKey) -> CanonType | None:
         for k, u in self.items:
@@ -40,7 +54,7 @@ class Env:
         return None
 
     def domain(self) -> frozenset[VarKey]:
-        return frozenset(k for k, _ in self.items)
+        return self._key
 
     def __contains__(self, key: VarKey) -> bool:
         return self.get(key) is not None
@@ -72,6 +86,12 @@ def env_ok(g: Env) -> bool:
 
 def env_pad(g: Env, keys) -> Env:
     """g on exactly the keys, at omega where g has no binding."""
+    keys = frozenset(keys)
+    return g if keys == g.domain() else _pad(g, keys)
+
+
+@cache
+def _pad(g: Env, keys: frozenset[VarKey]) -> Env:
     return mk_env((key, g.get(key) or omega(key.idx)) for key in keys)
 
 
@@ -79,6 +99,7 @@ def env_omega(m: Term) -> Env:
     return env_pad(env_empty(), free_vars(m))
 
 
+@cache
 def env_inter(g1: Env, g2: Env) -> Env:
     """Pointwise intersection on shared keys, union elsewhere."""
     out = dict(g1.items)
@@ -113,6 +134,8 @@ def env_sub(g1: Env, g2: Env) -> bool:
 
 def env_restrict(g: Env, keys) -> Env:
     keys = frozenset(keys)
+    if keys == g.domain():
+        return g
     missing = keys - g.domain()
     if missing:
         key = min(missing)
@@ -129,6 +152,7 @@ def env_without(g: Env, key: VarKey) -> Env:
     return Env(tuple(item for item in g.items if item[0] != key))
 
 
+@cache
 def env_bind(g: Env, key: VarKey, u: CanonType) -> Env:
     assert key not in g, key
     return mk_env(list(g.items) + [(key, u)])

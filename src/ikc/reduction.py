@@ -21,7 +21,8 @@ so a redex-free query makes no step list, set or alpha key.
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
-first_step takes the leftmost-outermost step without building the others;
+first_step finds the leftmost-outermost step in one descent along the mask,
+building no other reduct and no generator (its h branch reads the spine);
 LeftmostBeta walks the leftmost beta path for the oracles and the search,
 keying a reduct (and its source) only while the reduct still has a beta
 redex: the mask is alpha-invariant, so the normal form that ends a path can
@@ -144,7 +145,25 @@ def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
     if r is Relation.H:
         hp = _head_position(m)
         return ("beta", hp[0], hp[1]) if hp else None
-    return next(_tagged(m, _KINDS[r]), None)
+    kinds = _KINDS[r]
+    if not m.redexes & kinds:
+        return None
+    # a node whose mask meets kinds is a redex, or its leftmost such part holds one
+    above: list[Term] = []  # the nodes along path, m first
+    path: list[str] = []
+    t = m
+    while True:
+        if t.__class__ is App:
+            if kinds & BETA_BIT and is_beta_redex(t):
+                return "beta", tuple(path), _rebuild(above, path, beta_contract(t))
+            way = "fun" if t.fun.redexes & kinds else "arg"
+        elif kinds & ETA_BIT and is_eta_redex(t):  # an Abs; a Var has no redex
+            return "eta", tuple(path), _rebuild(above, path, t.body.fun)
+        else:
+            way = "body"
+        above.append(t)
+        path.append(way)
+        t = getattr(t, way)
 
 
 def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:

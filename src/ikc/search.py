@@ -15,8 +15,9 @@ beta path of m to its normal form n and searches n : <g on fv(n) |- u>.  A
 Found is carried back along the recorded steps (transform.expand_along) and
 weakened to g.  A Refuted lifts to m by subject reduction: subject_reduce
 would carry any derivation of m to one of n.  A goal at degree K != [] is
-lowered by K and rebuilt by exp; at degree [] every goal on a normal form is
-decided by exhaustive inversion:
+lowered by K and rebuilt by exp; bounded_typecheck lowers its goal once, so
+the walk, the search and the expansion run at degree [] under one exp chain.
+At degree [] every goal on a normal form is decided by exhaustive inversion:
 
   lam x^L.P  generation: every component of u is an arrow V->T with
              d(V) = L, and forces P : <g, x^L:V |- T> (x^L bound exactly
@@ -47,10 +48,12 @@ from typing import Callable
 from .syntax import (
     Abs,
     App,
+    Index,
     Term,
     VarKey,
     free_vars,
     index_str,
+    lift,
     lower,
     print_term,
     term_size,
@@ -162,10 +165,16 @@ def bounded_typecheck(
             lambda: f"goal degree {index_str(u.degree)} differs from subject"
             f" degree {index_str(m.degree)}"
         )
-    out = _Searcher(fuel).solve(m, g, u)
+    if u.is_omega():
+        return Found(sub_to(OmegaRule(m), g, u))
+    k = u.degree
+    out = _Searcher(fuel).solve(lower(m, k), env_lower(g, k), lower_type(u, k), k)
     if isinstance(out, Found):
-        j = out.derivation.judgment
-        assert j == Judgment(m, g, u), j
+        d = out.derivation
+        for j in reversed(k):
+            d = ExpRule(j, d)
+        out = Found(sub_to(d, g, u))
+        assert out.derivation.judgment == Judgment(m, g, u), d.judgment
     return out
 
 
@@ -177,10 +186,9 @@ class _Searcher:
         self.fuel = fuel
         self.memo: dict[tuple[Term, Env, CanonType], Outcome] = {}
 
-    def solve(self, m: Term, g: Env, u: CanonType) -> Outcome:
-        """m : <g |- u> through the beta normal form of m."""
-        if u.is_omega():
-            return Found(sub_to(OmegaRule(m), g, u))
+    def solve(self, m: Term, g: Env, u: CanonType, k: Index) -> Outcome:
+        """m : <g |- u> at degree [] through the beta normal form of m, for
+        a goal that was lowered by k; a Found is not yet weakened to g."""
         walk = LeftmostBeta(m)
         trail = []
         for step in walk:
@@ -191,13 +199,15 @@ class _Searcher:
         if walk.revisited is not None:
             return Unknown(
                 lambda: "no beta normal form: the leftmost path revisits"
-                f" {print_term(walk.revisited)}"
+                f" {print_term(reduce(lift, reversed(k), walk.revisited))}"
             )
+        if k:  # the visit of the degree-k goal that lowering skipped
+            self.fuel -= 1
         nf = walk.term
         out = self.goal(nf, env_restrict(g, free_vars(nf)), u)
         if not isinstance(out, Found):
             return out
-        return Found(sub_to(expand_along(out.derivation, trail), g, u))
+        return Found(expand_along(out.derivation, trail))
 
     def goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
         key = (m, g, u)

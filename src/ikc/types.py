@@ -15,11 +15,12 @@ left component, arrows contravariantly on the left.
 
 Canonical nodes (CAtom, CArrow, CanonType) are hash-consed: constructing one
 returns the existing node with the same fields if there is one, so each
-distinct type is one object and == is identity.  A node stores its hash and
-its sort key (read by comp_key/type_key), both built from its children's
-stored ones, so neither is recomputed.  The tables are plain dicts that keep
+distinct type is one object, and == and hash are identity.  A node stores
+its sort key (read by comp_key/type_key), built from its children's stored
+ones, so it is never recomputed.  The tables are plain dicts that keep
 every distinct type for the life of the process: a workload builds a few
 types again and again, which a weak table would let die and intern anew.
+envs hash-conses environments through the same base class.
 """
 
 from __future__ import annotations
@@ -36,14 +37,18 @@ from . import sexpr
 
 
 class _Interned:
-    """Base of the hash-consed canonical nodes (see the module docstring).
+    """Base of the hash-consed nodes: the canonical types here and the
+    environments of envs (see the module docstring).
 
     Each subclass keeps a table from field tuples to nodes; its __new__
-    returns the table's node, or builds one with _intern.  == is object's
-    own identity test, and a node is immutable.
+    returns the table's node, or builds one with _intern, which also stores
+    _key, a fact derived once from the fields: a type node's sort key, an
+    environment's domain.  == and hash are object's own identity ones, so a
+    tuple of nodes hashes without visiting their fields, and a node is
+    immutable.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key",)
     __match_args__: tuple[str, ...] = ()
 
     @classmethod
@@ -52,12 +57,8 @@ class _Interned:
         for name, value in zip(cls.__match_args__, fields):
             object.__setattr__(node, name, value)
         object.__setattr__(node, "_key", key)
-        object.__setattr__(node, "_hash", hash(fields))
         cls._table[fields] = node
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

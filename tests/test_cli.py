@@ -743,3 +743,18 @@ def test_deeply_nested_input_is_an_input_error(verb):
     assert proc.stdout == ""
     assert proc.stderr == "input error: input nested too deeply\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_memory_exhaustion_is_an_input_error(capsys, monkeypatch):
+    # equiv's reachable sets grow with the square of the fuel on a term
+    # whose reducts grow; running out of memory ends with one line, exit 2
+    from ikc import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "equiv", exhausted)
+    code, out, err = run(capsys, "equiv", "(lam x [] x[])", "b[]")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: out of memory\n"

@@ -1,7 +1,12 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from ikc.envs import (
     env_bind,
+    env_empty,
     env_enlarge,
     env_expand,
     env_inter,
@@ -129,3 +134,58 @@ def test_env_bind():
 
 def test_print_env_canonical():
     assert print_env(env("((y [] b) (x [] a))")) == "((x [] a) (y [] b))"
+
+
+# ---------------------------------------------------------------- interning
+
+
+def test_every_builder_returns_the_interned_env():
+    a, b, ab = parse_type("a"), parse_type("b"), parse_type("(^ a b)")
+    g = env("((x [] a) (y [] b))")
+    assert mk_env([(key("y"), b), (key("x"), a)]) is g
+    assert mk_env([(key("x"), a), (key("y"), b), (key("x"), a)]) is g
+    assert env("((y [] b) (x [] a))") is g
+    assert env_bind(env("((x [] a))"), key("y"), b) is g
+    assert env_bind(env("((y [] b))"), key("x"), a) is g
+    assert env_restrict(env("((x [] a) (y [] b) (z [] a))"), [key("x"), key("y")]) is g
+    assert env_pad(env("((x [] a) (y [] b) (z [] a))"), [key("x"), key("y")]) is g
+    assert env_inter(env("((x [] a))"), env("((y [] b))")) is g
+    assert env_inter(env("((x [] a))"), env("((x [] b))")) is mk_env([(key("x"), ab)])
+    up = env("((x [1] (e 1 a)) (y [1] (e 1 b)))")
+    assert env_expand(1, g) is up
+    assert env_lower(up, (1,)) is g
+
+
+def test_pad_and_restrict_to_the_domain_return_their_input():
+    g = env("((x [] a) (z [1] (w [1])))")
+    assert env_pad(g, [key("z", (1,)), key("x")]) is g
+    assert env_restrict(g, {key("x"), key("z", (1,))}) is g
+    assert env_enlarge(g, [key("x")]) is g
+
+
+def test_the_empty_env_is_one_object():
+    assert env_empty() is env_empty()
+    assert env("()") is env_empty()
+    assert env_restrict(env("((x [] a))"), []) is env_empty()
+
+
+def test_copies_and_pickles_are_the_interned_env():
+    for g in [env_empty(), env("((x [] a) (y [1] (e 1 (-> a b))))")]:
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+
+
+def test_envs_are_frozen_and_equal_by_identity():
+    g = env("((x [] a))")
+    with pytest.raises(FrozenInstanceError):
+        g.items = ()
+    with pytest.raises(FrozenInstanceError):
+        g.other = 1
+    assert env_sub(g, g) and env_sub(env_empty(), env_empty())
+    assert g == env("((x [] a))") and g != env("((x [] b))")
+    assert hash(g) == object.__hash__(g)
+    assert repr(g) == (
+        "Env(items=((VarKey(name='x', idx=()), CanonType(prefix=(),"
+        " comps=(CAtom(name='a'),))),))"
+    )
