@@ -115,6 +115,8 @@ def env_expand(j: int, g: Env) -> Env:
 
 
 def env_lower(g: Env, k: Index) -> Env:
+    if not k:
+        return g
     for key, _ in g:
         if not prefix_leq(k, key.idx):
             raise DegreeError(

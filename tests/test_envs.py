@@ -154,6 +154,7 @@ def test_every_builder_returns_the_interned_env():
     up = env("((x [1] (e 1 a)) (y [1] (e 1 b)))")
     assert env_expand(1, g) is up
     assert env_lower(up, (1,)) is g
+    assert env_lower(g, ()) is g
 
 
 def test_pad_and_restrict_to_the_domain_return_their_input():
