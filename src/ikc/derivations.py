@@ -25,6 +25,16 @@ which equals the subject degree.  So the side conditions on free variables
 (the arrIW binder, the names arrE's premises share) are read off the
 premises' subjects.
 
+A conclusion's subject is built from the premises' subjects: ax builds its
+variable, arrI, arrIW and arrE an Abs or App over the premises' subjects,
+exp the premise's subject lifted.  Each of these constructors also takes
+the term its caller already holds (the search's subgoal, the transports'
+rebuilt subject) and concludes at that object instead, when a check that
+builds nothing shows it is that subject: the identity of its parts for
+ax, arrI, arrIW and arrE, one walk (syntax.is_lift) for exp.  Any other
+term is ignored, so the judgment is the same either way; parsing passes
+none.
+
 Two macros elaborate into the primitives before checking: (interI' d1 d2)
 meets premises with different environments by subruling both to the pointwise
 intersection, and (ax' x U) derives x^{d(U)} : <x:U |- U> componentwise
@@ -51,6 +61,7 @@ from .syntax import (
     Var,
     VarKey,
     index_str,
+    is_lift,
     joinable,
     lift,
     print_term,
@@ -104,11 +115,13 @@ class Ax(_Rule):
     name: str
     comp: CanonT
 
-    def __init__(self, name: str, comp: CanonT):
+    def __init__(self, name: str, comp: CanonT, term: Term | None = None):
         u = CT((), (comp,))
         _set(self, "name", name)
         _set(self, "comp", comp)
-        _set(self, "judgment", Judgment(Var(name, ()), Env(((VarKey(name, ()), u),)), u))
+        if not (term.__class__ is Var and term.name == name and term.idx == ()):
+            term = Var(name, ())
+        _set(self, "judgment", Judgment(term, Env(((VarKey(name, ()), u),)), u))
         _set(self, "macro", False)
 
 
@@ -129,7 +142,9 @@ class ArrI(_Rule):
     ann: CanonType
     premise: "Derivation"
 
-    def __init__(self, var: str, idx: Index, ann: CanonType, premise: "Derivation"):
+    def __init__(
+        self, var: str, idx: Index, ann: CanonType, premise: "Derivation", term: Term | None = None
+    ):
         jp = premise.judgment
         key = VarKey(var, idx)
         bound = jp.env.get(key)
@@ -147,7 +162,8 @@ class ArrI(_Rule):
         _set(self, "ann", ann)
         _set(self, "premise", premise)
         u = CT((), (CArrow(bound, t),))
-        _set(self, "judgment", Judgment(Abs(var, idx, jp.subject), env_without(jp.env, key), u))
+        term = _abs_of(var, idx, jp.subject, term)
+        _set(self, "judgment", Judgment(term, env_without(jp.env, key), u))
         _set(self, "macro", premise.macro)
 
 
@@ -157,7 +173,7 @@ class ArrIW(_Rule):
     idx: Index
     premise: "Derivation"
 
-    def __init__(self, var: str, idx: Index, premise: "Derivation"):
+    def __init__(self, var: str, idx: Index, premise: "Derivation", term: Term | None = None):
         jp = premise.judgment
         if jp.subject._fv.get(var) == idx:
             raise RuleError("arrIW", f"{var}{index_str(idx)} occurs in the premise environment")
@@ -166,7 +182,7 @@ class ArrIW(_Rule):
         _set(self, "idx", idx)
         _set(self, "premise", premise)
         u = CT((), (CArrow(omega(idx), t),))
-        _set(self, "judgment", Judgment(Abs(var, idx, jp.subject), jp.env, u))
+        _set(self, "judgment", Judgment(_abs_of(var, idx, jp.subject, term), jp.env, u))
         _set(self, "macro", premise.macro)
 
 
@@ -175,7 +191,7 @@ class ArrE(_Rule):
     fun: "Derivation"
     arg: "Derivation"
 
-    def __init__(self, fun: "Derivation", arg: "Derivation"):
+    def __init__(self, fun: "Derivation", arg: "Derivation", term: Term | None = None):
         jf = fun.judgment
         ja = arg.judgment
         tf = _single(jf.typ, "arrE")
@@ -192,7 +208,11 @@ class ArrE(_Rule):
         _set(self, "fun", fun)
         _set(self, "arg", arg)
         u = CT((), (tf.res,))
-        _set(self, "judgment", Judgment(App(jf.subject, ja.subject), env_inter(jf.env, ja.env), u))
+        if not (
+            term.__class__ is App and term.fun is jf.subject and term.arg is ja.subject
+        ):
+            term = App(jf.subject, ja.subject)
+        _set(self, "judgment", Judgment(term, env_inter(jf.env, ja.env), u))
         _set(self, "macro", fun.macro or arg.macro)
 
 
@@ -219,11 +239,13 @@ class ExpRule(_Rule):
     head: int
     premise: "Derivation"
 
-    def __init__(self, head: int, premise: "Derivation"):
+    def __init__(self, head: int, premise: "Derivation", term: Term | None = None):
         jp = premise.judgment
         _set(self, "head", head)
         _set(self, "premise", premise)
-        j = Judgment(lift(jp.subject, head), env_expand(head, jp.env), expand_type(head, jp.typ))
+        if term is None or not is_lift(term, jp.subject, head):
+            term = lift(jp.subject, head)
+        j = Judgment(term, env_expand(head, jp.env), expand_type(head, jp.typ))
         _set(self, "judgment", j)
         _set(self, "macro", premise.macro)
 
@@ -286,6 +308,14 @@ Derivation = Union[
 ]
 
 
+def _abs_of(var: str, idx: Index, body: Term, term: Term | None) -> Term:
+    """term if it is lam var^idx. body with this very body, else that
+    abstraction built."""
+    if term.__class__ is Abs and term.body is body and term.var == var and term.idx == idx:
+        return term
+    return Abs(var, idx, body)
+
+
 # ---------------------------------------------------------------- checker
 
 
@@ -328,16 +358,18 @@ def meet(d1: Derivation, d2: Derivation) -> Derivation:
     return InterI(sub_to(d1, ge, j1.typ), sub_to(d2, ge, j2.typ))
 
 
-def var_intro(name: str, typ: CanonType) -> Derivation:
-    """ax' elaborated: x^{d(U)} : <x:U |- U> for any canonical U."""
+def var_intro(name: str, typ: CanonType, term: Term | None = None) -> Derivation:
+    """ax' elaborated: x^{d(U)} : <x:U |- U> for any canonical U.  A given
+    term becomes the subject when it is that variable."""
     k = typ.prefix
     if typ.is_omega():
-        return OmegaRule(Var(name, k))
+        v = Var(name, k)
+        return OmegaRule(term if term == v else v)
     chains = []
     for comp in typ.comps:
-        d: Derivation = Ax(name, comp)
+        d: Derivation = Ax(name, comp, term)
         for j in reversed(k):
-            d = ExpRule(j, d)
+            d = ExpRule(j, d, term)
         chains.append(d)
     return reduce(meet, chains)
 

@@ -24,9 +24,11 @@ term is keyed twice, and the confluence checker steps each term once per call.
 first_step finds the leftmost-outermost step in one descent along the mask,
 building no other reduct and no generator (its h branch reads the spine);
 LeftmostBeta walks the leftmost beta path for the oracles and the search,
-keying a reduct (and its source) only while the reduct still has a beta
-redex: the mask is alpha-invariant, so the normal form that ends a path can
-never repeat one of its earlier terms, and is never keyed;
+and exposes each term's size, which the search charges as fuel.  It keys a
+reduct only when it still has a beta redex and an earlier term of the path
+has its size, and an earlier term only then: the mask and the size are
+alpha-invariant, so the normal form that ends a path can never repeat one
+of its earlier terms, and a term can repeat only one of its own size;
 reachable is the one depth-bounded reachable-set walk, lazy so that a caller
 can stop at its first hit, shared by the confluence checker,
 semantics.saturation_check and equiv, which runs two, one from each term.
@@ -50,6 +52,7 @@ from .syntax import (
     is_beta_redex,
     is_eta_redex,
     substitute,
+    term_size,
 )
 
 Path = tuple[str, ...]  # entries: "fun" | "arg" | "body"
@@ -225,29 +228,49 @@ def normalize(m: Term, r: Relation, fuel: int) -> ReductionOutcome:
 
 class LeftmostBeta:
     """The leftmost beta path from a term: iterating takes one step per item
-    and yields (source, path to the redex), leaving the reduct in .term.  It
-    ends at a normal form (in .term), or at a reduct whose alpha class came
-    before (in .revisited), which proves there is no normal form since
-    leftmost reduction is normalising.  Callers own the budget."""
+    and yields (source, path to the redex), leaving the reduct in .term and
+    its size in .size.  It ends at a normal form (in .term), or at a reduct
+    whose alpha class came before (in .revisited), which proves there is no
+    normal form since leftmost reduction is normalising.  Callers own the
+    budget.
 
-    __slots__ = ("term", "revisited")
+    Alpha-equivalent terms have one size, so a reduct is keyed only when an
+    earlier term of the path has its size, and an earlier term only when a
+    later one of its size is keyed; a normal form cannot repeat a term of
+    the path, so it is never keyed."""
+
+    __slots__ = ("term", "size", "revisited")
 
     def __init__(self, m: Term):
         self.term = m
+        self.size: int | None = None  # set at the first step
         self.revisited: Term | None = None
 
     def __iter__(self) -> Iterator[tuple[Term, Path]]:
-        seen, key = set(), None
-        while (hit := first_step(self.term, Relation.BETA)) is not None:
+        hit = first_step(self.term, Relation.BETA)
+        if hit is None:
+            return
+        self.size = term_size(self.term)
+        # size -> the earlier terms of that size, each replaced by its key
+        # once it is keyed
+        earlier: dict[int, list] = {}
+        key = None  # the current term's key, once made
+        while hit is not None:
             source, self.term = self.term, hit[2]
-            # a normal form cannot repeat a term of the path: it is not keyed
-            if self.term.redexes & BETA_BIT:
-                seen.add(key or alpha_key(source))
+            earlier.setdefault(self.size, []).append(source if key is None else key)
+            self.size = term_size(self.term)
+            key = None
+            same = earlier.get(self.size)
+            if same and self.term.redexes & BETA_BIT:
                 key = alpha_key(self.term)
-                if key in seen:
-                    self.revisited = self.term
-                    return
+                for i, t in enumerate(same):
+                    if t.__class__ is not tuple:
+                        same[i] = t = alpha_key(t)
+                    if t == key:
+                        self.revisited = self.term
+                        return
             yield source, hit[1]
+            hit = first_step(self.term, Relation.BETA)
 
 
 # ---------------------------------------------------------------- equivalence

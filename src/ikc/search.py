@@ -36,7 +36,14 @@ At degree [] every goal on a normal form is decided by exhaustive inversion:
 
 Fuel is the one budget: a visited goal costs 1 and a leftmost step costs
 the size of its reduct, so work stays proportional to the fuel even on a
-term that grows along its leftmost path.
+term that grows along its leftmost path; the walk reports that size
+(reduction.LeftmostBeta.size), so no step is measured twice.
+
+The derivations share the subjects the search holds: each rule node is
+handed the term of its goal (an abstraction, an application of the spine,
+the head variable), and the exp chain that rebuilds a degree-K goal ends at
+the goal's own term, so a Found concludes at the very subject it was
+asked about whenever the memo answered no subgoal with an equal copy.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from .syntax import (
     lift,
     lower,
     print_term,
-    term_size,
 )
 from .types import (
     CanonT,
@@ -170,10 +176,7 @@ def bounded_typecheck(
     k = u.degree
     out = _Searcher(fuel).solve(lower(m, k), env_lower(g, k), lower_type(u, k), k)
     if isinstance(out, Found):
-        d = out.derivation
-        for j in reversed(k):
-            d = ExpRule(j, d)
-        out = Found(sub_to(d, g, u))
+        out = Found(sub_to(_expand_to(m, k, out.derivation), g, u))
         assert out.derivation.judgment == Judgment(m, g, u), d.judgment
     return out
 
@@ -193,7 +196,7 @@ class _Searcher:
         trail = []
         for step in walk:
             trail.append(step)
-            self.fuel -= term_size(walk.term)
+            self.fuel -= walk.size
             if self.fuel < 0:
                 return _FUEL_OUT
         if walk.revisited is not None:
@@ -230,11 +233,8 @@ class _Searcher:
         if k:
             # type the subject lowered to degree [] and factor through (e)
             low = self.goal(lower(m, k), env_lower(g, k), lower_type(u, k))
-            match low:
-                case Found(d):
-                    for j in reversed(k):
-                        d = ExpRule(j, d)
-                    return Found(d)
+            if isinstance(low, Found):
+                return Found(_expand_to(m, k, low.derivation))
             return low
 
         if isinstance(m, Abs):
@@ -268,18 +268,19 @@ class _Searcher:
                 case Unknown():
                     return sub
             if binds:
-                pieces.append(ArrI(m.var, m.idx, comp.arg, sub.derivation))
+                pieces.append(ArrI(m.var, m.idx, comp.arg, sub.derivation, m))
             else:
-                weak = ArrIW(m.var, m.idx, sub.derivation)
+                weak = ArrIW(m.var, m.idx, sub.derivation, m)
                 pieces.append(sub_to(weak, g, CT((), (comp,))))
         return Found(reduce(InterI, pieces))
 
     def _spine_goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
-        args, head = [], m
+        spine, head = [], m  # the applications along the spine, innermost first
         while isinstance(head, App):
-            args.append(head.arg)
+            spine.append(head)
             head = head.fun
-        args.reverse()
+        spine.reverse()
+        args = [s.arg for s in spine]
         if isinstance(head, Abs):
             return Refuted(
                 lambda: f"stuck head {print_term(head)} takes no argument of"
@@ -293,12 +294,12 @@ class _Searcher:
                 shape = _unfold(c, args)
                 if shape is None or not comp_leq(shape[1], t):
                     continue
-                d = Ax(head.name, c)
-                for n, gn, a in zip(args, arg_envs, shape[0]):
-                    dn = self.goal(n, gn, a)
+                d = Ax(head.name, c, head)
+                for s, gn, a in zip(spine, arg_envs, shape[0]):
+                    dn = self.goal(s.arg, gn, a)
                     if not isinstance(dn, Found):
                         break
-                    d = ArrE(d, dn.derivation)
+                    d = ArrE(d, dn.derivation, s)
                 else:
                     pieces.append(sub_to(d, g, CT((), (t,))))
                     break
@@ -311,6 +312,16 @@ class _Searcher:
                     + (f" through the arguments of {print_term(m)}" if args else "")
                 )
         return Found(reduce(InterI, pieces))
+
+
+def _expand_to(m: Term, k: Index, d: Derivation) -> Derivation:
+    """The exp chain over d, which derives m lowered by k, that concludes
+    at m itself: the last node is handed m."""
+    if not k:
+        return d
+    for j in reversed(k[1:]):
+        d = ExpRule(j, d)
+    return ExpRule(k[0], d, m)
 
 
 def _unfold(c: CanonT, args: list[Term]) -> tuple[list[CanonType], CanonT] | None:

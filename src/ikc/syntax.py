@@ -13,12 +13,20 @@ therefore functional, and every Index occurring in M (free or binder) extends
 d(M).  Those two facts are load-bearing for lowering and for the environment
 layer, so constructors check them eagerly, and store each node's degree.
 
-A node's free-variable map (_fv) may be shared with its parts and with other
-nodes: an Abs reuses its body's map when the binder is not free in it, an App
-reuses the map of a side that covers the other, and every closed Abs shares
-one empty map.  So a map is never mutated after construction.  It is the
-one record of a term's free variables: free_vars, joinable and the layers
-above read it, and none rebuilds it.
+A node's free-variable map (_fv) is hash-consed: there is one map object per
+distinct free-variable set, held by a table for the life of the process,
+and every node's map is that table's object (pickling and copying rebuild a
+node through its constructor, so copies keep this invariant).  A Var takes
+its map from a table keyed by (name, Index); an Abs that binds a free name
+of its body and an App whose parts have different maps look their result up
+in memo tables keyed by the identities of the maps they combine, which the
+invariant makes sound, and a new result is first looked up by its contents.
+So no map is mutated once made, and building a node allocates no map once
+its set has been seen.  The map is the one record of a term's free
+variables: free_vars, joinable and the layers above read it, and none
+rebuilds it.  A JoinabilityError names the first clashing name in a fixed
+order of the argument's free names (_fv_order), not in the order the
+shared map happens to hold.
 
 Each node also stores its redex mask (redexes): BETA_BIT is set when the node
 contains a beta redex (an App (lam x^L. P) Q with d(Q) = L) and ETA_BIT when
@@ -30,8 +38,13 @@ answers on a normal form in O(1).  A variable contains no redex, so Var's
 mask is the class constant 0.
 
 lift and lower map every Index by one explicit-stack walk; lower strips a
-whole prefix, like types.lower_type.  alpha_canon is read back from alpha_key,
-whose one walk numbers the binders.  print_term, substitute and term_at recurse.
+whole prefix, like types.lower_type.  is_lift decides n == lift(m, i) by one
+walk that builds no term, so a rule node that is handed its subject checks
+it instead of lifting.  alpha_canon is read back from alpha_key, whose one
+walk numbers the binders.  print_term is an explicit-stack walk too, so a
+term of any depth prints.  substitute with one binding, the case of every
+beta contraction, walks with that binding alone and builds no per-node map
+of live bindings; substitute and term_at recurse.
 
 Each node class writes its own __init__, which checks formation and sets
 every slot in one pass; the dataclass still gives equality, hashing, repr
@@ -73,17 +86,36 @@ BETA_BIT = 1
 ETA_BIT = 2
 
 
-# Each node's _fv is its free-variable map, name -> Index.  A map may belong
-# to many nodes, so none is mutated after its constructor.
-# _NO_FV is the one map of every closed abstraction.
+# Each node's _fv is the map, name -> Index, that _FV_BY_SET holds for its
+# free-variable set.  The table keeps every map for the life of the process,
+# so no map's id() is reused, and the three memo tables key by those ids.
 _NO_FV: dict[str, Index] = {}
+_FV_BY_SET: dict[frozenset, dict[str, Index]] = {frozenset(): _NO_FV}
+_VAR_FV: dict[tuple[str, Index], dict[str, Index]] = {}  # x^L -> {x: L}
+_ABS_FV: dict[tuple[int, str], dict[str, Index]] = {}  # (id(body map), binder) -> map
+_APP_FV: dict[tuple[int, int], dict[str, Index]] = {}  # (id(fun map), id(arg map)) -> map
 
 # sets a slot of a frozen node; only the node constructors use it
 _set = object.__setattr__
 
 
+def _interned(fv: dict[str, Index]) -> dict[str, Index]:
+    """The table's map with fv's contents, fv itself if it is the first."""
+    return _FV_BY_SET.setdefault(frozenset(fv.items()), fv)
+
+
+class _Node:
+    """Pickling and copying rebuild a node through its constructor, so that a
+    copy's map is the table's map too."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+
 @dataclass(frozen=True, slots=True, init=False)
-class Var:
+class Var(_Node):
     name: str
     idx: Index
     _fv: dict = field(init=False, repr=False, compare=False)
@@ -93,7 +125,10 @@ class Var:
     def __init__(self, name: str, idx: Index):
         _set(self, "name", name)
         _set(self, "idx", idx)
-        _set(self, "_fv", {name: idx})
+        fv = _VAR_FV.get((name, idx))
+        if fv is None:
+            fv = _VAR_FV[name, idx] = _interned({name: idx})
+        _set(self, "_fv", fv)
 
     @property
     def degree(self) -> Index:
@@ -101,7 +136,7 @@ class Var:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class Abs:
+class Abs(_Node):
     var: str
     idx: Index
     body: "Term"
@@ -118,11 +153,12 @@ class Abs:
             )
         fv = body._fv
         if fv.get(var) == idx:
-            if len(fv) == 1:
-                fv = _NO_FV
-            else:
-                fv = dict(fv)
+            key = (id(fv), var)
+            fv = _ABS_FV.get(key)
+            if fv is None:
+                fv = dict(body._fv)
                 del fv[var]
+                fv = _ABS_FV[key] = _interned(fv)
         _set(self, "var", var)
         _set(self, "idx", idx)
         _set(self, "body", body)
@@ -142,7 +178,7 @@ class Abs:
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class App:
+class App(_Node):
     fun: "Term"
     arg: "Term"
     _fv: dict = field(init=False, repr=False, compare=False)
@@ -156,17 +192,13 @@ class App:
                 f"application degree {index_str(degree)} does not prefix "
                 f"argument degree {index_str(arg.degree)}"
             )
-        # reuse the larger map when it covers the smaller; copy only when
-        # the smaller brings a name the larger lacks
-        ffv, afv = fun._fv, arg._fv
-        fv, small = (ffv, afv) if len(ffv) >= len(afv) else (afv, ffv)
-        if not small.items() <= fv.items():
-            if not joinable(fun, arg):
-                name = next(n for n, i in afv.items() if ffv.get(n, i) != i)
-                raise JoinabilityError(
-                    f"{name} free at {index_str(ffv[name])} and {index_str(afv[name])}"
-                )
-            fv = {**ffv, **afv}
+        fv = fun._fv
+        afv = arg._fv
+        if afv is not fv and afv is not _NO_FV:
+            if fv is _NO_FV:
+                fv = afv
+            else:
+                fv = _APP_FV.get((id(fv), id(afv))) or _merged(fun, arg)
         _set(self, "fun", fun)
         _set(self, "arg", arg)
         _set(self, "_fv", fv)
@@ -175,6 +207,55 @@ class App:
         if isinstance(fun, Abs) and arg.degree == fun.idx:  # is_beta_redex(self)
             redexes |= BETA_BIT
         _set(self, "redexes", redexes)
+
+
+def _merged(fun: "Term", arg: "Term") -> dict[str, Index]:
+    """The map of App(fun, arg), made and kept in _APP_FV, or the
+    JoinabilityError that names the first clashing name in _fv_order(arg)."""
+    ffv, afv = fun._fv, arg._fv
+    if not joinable(fun, arg):
+        name = next(n for n in _fv_order(arg) if ffv.get(n, afv[n]) != afv[n])
+        raise JoinabilityError(
+            f"{name} free at {index_str(ffv[name])} and {index_str(afv[name])}"
+        )
+    fv = _APP_FV[id(ffv), id(afv)] = _interned({**ffv, **afv})
+    return fv
+
+
+def _fv_order(m: "Term") -> list[str]:
+    """The free names of m in one fixed order, which the error texts follow
+    whatever order the table's map holds: a variable's name; an abstraction's
+    body order less its binder; for an application, the order of a part
+    whose map holds the other's (the function's on a tie), else the
+    function's order followed by the argument's names the function lacks.
+    One explicit-stack walk, run only to name a clash."""
+    built: list[list[str]] = []
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            built.append([t.name])
+        elif cls is Abs:
+            stack += ((t,), t.body)
+        elif cls is App:
+            stack += ((t,), t.arg, t.fun)
+        else:  # (t,): the orders of t's parts are on top of built
+            t = t[0]
+            if t.__class__ is Abs:
+                if t.body._fv.get(t.var) == t.idx:
+                    built[-1].remove(t.var)
+                continue
+            a = built.pop()
+            f = built[-1]
+            ffv, afv = t.fun._fv, t.arg._fv
+            if len(ffv) >= len(afv) and afv.items() <= ffv.items():
+                continue
+            if len(ffv) < len(afv) and ffv.items() <= afv.items():
+                built[-1] = a
+            else:
+                f += [n for n in a if n not in ffv]
+    return built[0]
 
 
 Term = Union[Var, Abs, App]
@@ -280,14 +361,23 @@ def parse_term(text: str) -> Term:
 
 
 def print_term(m: Term) -> str:
-    match m:
-        case Var(name, idx):
-            return f"{name}{index_str(idx)}"
-        case Abs(var, idx, body):
-            return f"(lam {var} {index_str(idx)} {print_term(body)})"
-        case App(fun, arg):
-            return f"(app {print_term(fun)} {print_term(arg)})"
-    raise AssertionError(m)
+    """m's s-expression, by one explicit-stack walk: any depth prints."""
+    out: list[str] = []
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+        elif cls is Var:
+            out.append(t.name + index_str(t.idx))
+        elif cls is Abs:
+            out.append(f"(lam {t.var} {index_str(t.idx)} ")
+            stack += (")", t.body)
+        else:
+            out.append("(app ")
+            stack += (")", t.arg, " ", t.fun)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------- renaming
@@ -323,26 +413,57 @@ def substitute(m: Term, binds: dict[VarKey, Term]) -> Term:
     with a replacement's free names; the fresh choice never looks at indexes,
     so substitution commutes exactly with lifting and lowering.  It is the
     one renamer: the derivation transports read binder names off its output.
+    One binding, the case of every beta contraction, walks by _subst1, which
+    makes no per-node map of live bindings.
     """
-    merged: dict[str, Index] = dict(m._fv)
-    payloads = []
     for (x, l), n in binds.items():
         if n.degree != l:
             raise DegreeError(
                 f"replacement for {x}{index_str(l)} has degree {index_str(n.degree)}"
             )
+    if len(binds) == 1:
+        ((x, l), n), = binds.items()
+        fv = m._fv
+        if fv.get(x) != l:
+            return m
+        # the key's entry disappears, so x itself cannot clash; a clash
+        # takes the general route, which names it
+        if all(name == x or fv.get(name, i) == i for name, i in n._fv.items()):
+            return _subst1(m, x, l, n, Avoid(m, n))
+    merged: dict[str, Index] = dict(m._fv)
+    payloads = []
+    for (x, l), n in binds.items():
         # a binding only fires when its exact key is free in m; the key's
         # entry disappears, so only live payloads enter the joinability check
         if merged.get(x) == l:
             del merged[x]
             payloads.append(n)
     for n in payloads:
-        for name, idx in n._fv.items():
+        for name in _fv_order(n):
+            idx = n._fv[name]
             if merged.setdefault(name, idx) != idx:
                 raise JoinabilityError(
                     f"{name} free at {index_str(merged[name])} and {index_str(idx)}"
                 )
     return _subst(m, binds, Avoid(m, *binds.values()))
+
+
+def _subst1(m: Term, x: str, l: Index, n: Term, avoid: Avoid) -> Term:
+    """m[x^l := n] for x^l free in m.  A binder that would capture a free
+    name of n hands its subtree to _subst, so the fresh names are _subst's."""
+    cls = m.__class__
+    if cls is Var:  # x^l is free in m, so m is x^l
+        return n
+    if cls is App:
+        fun, arg = m.fun, m.arg
+        if fun._fv.get(x) == l:
+            fun = _subst1(fun, x, l, n, avoid)
+        if arg._fv.get(x) == l:
+            arg = _subst1(arg, x, l, n, avoid)
+        return App(fun, arg)
+    if m.var in n._fv:
+        return _subst(m, {VarKey(x, l): n}, avoid)
+    return Abs(m.var, m.idx, _subst1(m.body, x, l, n, avoid))
 
 
 def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:
@@ -380,6 +501,32 @@ def lower(m: Term, k: Index) -> Term:
     if not prefix_leq(k, m.degree):
         raise DegreeError(f"cannot lower degree {index_str(m.degree)} by {index_str(k)}")
     return _reindex(m, (), len(k))
+
+
+def is_lift(n: Term, m: Term, i: int) -> bool:
+    """n == lift(m, i), by one explicit-stack walk that builds no term.
+
+    Every Index in n extends d(n), so once d(n) starts with i, an Index of
+    n lifts one of m exactly when the two agree past n's first entry."""
+    if n.degree[:1] != (i,):
+        return False
+    stack = [n, m]
+    while stack:
+        b = stack.pop()
+        a = stack.pop()
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is App:
+            stack += (a.arg, b.arg, a.fun, b.fun)
+        elif cls is Var:
+            if a.name != b.name or a.idx[1:] != b.idx:
+                return False
+        elif a.var != b.var or a.idx[1:] != b.idx:
+            return False
+        else:
+            stack += (a.body, b.body)
+    return True
 
 
 def _reindex(m: Term, head: Index, cut: int) -> Term:

@@ -11,7 +11,10 @@ No builder chooses a name.  The substitution walk, _subst_d, is handed the
 substituted subject that syntax.substitute made and reads every binder name
 off it; where that renamed a binder, the walk renames the bound key in the
 Ax nodes and sub environments below, and expansion renames back through the
-same walk.
+same walk.  The builders hand each rule node the term they already hold
+for it (the rewritten subject, the substituted one, the redex and its
+parts), so a transported derivation concludes at those very terms and
+rebuilds none of them.
 
   lower_derivation      strips an index prefix off a whole derivation
   subst_derivation      the substitution lemma, derivation to derivation
@@ -189,11 +192,11 @@ def _subst_d(
                 ren = {**ren, key: t.var}
             elif key in ren:  # the binder shadows a renamed key
                 ren = {k: n for k, n in ren.items() if k != key}
-            return ArrI(t.var, idx, ann, _subst_d(premise, x, dn, t.body, ren))
+            return ArrI(t.var, idx, ann, _subst_d(premise, x, dn, t.body, ren), t)
 
         case ArrIW(var, idx, premise):
             # the binder is not free below, so only its name changes
-            return ArrIW(t.var, idx, _subst_d(premise, x, dn, t.body, ren))
+            return ArrIW(t.var, idx, _subst_d(premise, x, dn, t.body, ren), t)
 
         case ArrE(fun, arg):
             dn_f = dn_a = dn
@@ -203,7 +206,7 @@ def _subst_d(
                 dn_f = sub_to(dn, jn.env, fun.judgment.env.get(x))
                 dn_a = sub_to(dn, jn.env, arg.judgment.env.get(x))
             return ArrE(
-                _subst_d(fun, x, dn_f, t.fun, ren), _subst_d(arg, x, dn_a, t.arg, ren)
+                _subst_d(fun, x, dn_f, t.fun, ren), _subst_d(arg, x, dn_a, t.arg, ren), t
             )
 
         case InterI(left, right):
@@ -219,7 +222,7 @@ def _subst_d(
                     if k.idx[:1] == (head,)
                 }
             x = VarKey(x.name, x.idx[1:])
-            return ExpRule(head, _subst_d(premise, x, dn, lower(t, (head,)), ren))
+            return ExpRule(head, _subst_d(premise, x, dn, lower(t, (head,)), ren), t)
 
         case SubRule(premise, env, typ):
             if ren:  # first: dn's keys, which may equal a renamed key, keep their names
@@ -312,7 +315,7 @@ def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
             inner = _rewrite(premise, new, path, at_redex)
             return sub_to(inner, env_pad(env, free_vars(new)), typ)
         case ExpRule(head, premise):
-            return ExpRule(head, _rewrite(premise, lower(new, (head,)), path, at_redex))
+            return ExpRule(head, _rewrite(premise, lower(new, (head,)), path, at_redex), new)
     if not path:
         return at_redex(d, new)
     match d, path[0]:
@@ -320,13 +323,13 @@ def _rewrite(d: Derivation, new: Term, path: Path, at_redex) -> Derivation:
             inner = _rewrite(d.premise, new.body, path[1:], at_redex)
             bound = inner.judgment.env.get(VarKey(d.var, d.idx))
             if bound is None:  # a reduction erased the binder from the body
-                rebuilt = ArrIW(d.var, d.idx, inner)
+                rebuilt = ArrIW(d.var, d.idx, inner, new)
             else:  # bound as before, or brought back at omega by an expansion
-                rebuilt = ArrI(d.var, d.idx, bound, inner)
+                rebuilt = ArrI(d.var, d.idx, bound, inner, new)
         case ArrE(fun, arg), "fun":
-            rebuilt = ArrE(_rewrite(fun, new.fun, path[1:], at_redex), arg)
+            rebuilt = ArrE(_rewrite(fun, new.fun, path[1:], at_redex), arg, new)
         case ArrE(fun, arg), "arg":
-            rebuilt = ArrE(fun, _rewrite(arg, new.arg, path[1:], at_redex))
+            rebuilt = ArrE(fun, _rewrite(arg, new.arg, path[1:], at_redex), new)
         case _:
             raise AssertionError((d, path))
     j = d.judgment
@@ -448,8 +451,8 @@ def _expand_redex(d: Derivation, src: Term) -> Derivation:
     x = VarKey(fun.var, fun.idx)
     if fun.body._fv.get(x.name) == x.idx:
         v, dp, dq = _split(d, x, fun.body, src.arg)
-        return ArrE(ArrI(x.name, x.idx, v, dp), dq)
-    return ArrE(ArrIW(x.name, x.idx, d), OmegaRule(src.arg))
+        return ArrE(ArrI(x.name, x.idx, v, dp, fun), dq, src)
+    return ArrE(ArrIW(x.name, x.idx, d, fun), OmegaRule(src.arg), src)
 
 
 def _split(
@@ -459,7 +462,7 @@ def _split(
     (V, dP :: P : <G1, x:V |- U>, dQ :: Q : <G2 |- V>) with G1 /\\ G2 = G."""
     if p == Var(x.name, x.idx):
         j = d.judgment
-        return j.typ, var_intro(x.name, j.typ), d
+        return j.typ, var_intro(x.name, j.typ, p), d
 
     match d:
         case OmegaRule():
@@ -475,7 +478,7 @@ def _split(
             assert x.idx and x.idx[0] == head
             x2 = VarKey(x.name, x.idx[1:])
             v0, dp0, dq0 = _split(premise, x2, lower(p, (head,)), lower(q, (head,)))
-            return expand_type(head, v0), ExpRule(head, dp0), ExpRule(head, dq0)
+            return expand_type(head, v0), ExpRule(head, dp0, p), ExpRule(head, dq0, q)
 
         case SubRule(premise, env, typ):
             v, dp0, dq0 = _split(premise, x, p, q)
@@ -498,30 +501,30 @@ def _split(
                 ja1, ja2 = dpa.judgment, dpb.judgment
                 e1 = env_bind(env_without(ja1.env, x), x, v)
                 e2 = env_bind(env_without(ja2.env, x), x, v)
-                dp = ArrE(sub_to(dpa, e1, ja1.typ), sub_to(dpb, e2, ja2.typ))
+                dp = ArrE(sub_to(dpa, e1, ja1.typ), sub_to(dpb, e2, ja2.typ), p)
                 return v, dp, meet(dqa, dqb)
             if in1:
                 v, dpa, dq = _split(fun, x, p1, q)
-                return v, ArrE(dpa, arg), dq
+                return v, ArrE(dpa, arg, p), dq
             assert in2
             v, dpb, dq = _split(arg, x, p2, q)
-            return v, ArrE(fun, dpb), dq
+            return v, ArrE(fun, dpb, p), dq
 
         case ArrI(var, idx, ann, premise):
             assert isinstance(p, Abs) and p.idx == idx
             if p.var == var:
                 v, dp0, dq = _split(premise, x, p.body, q)
-                return v, ArrI(var, idx, ann, dp0), dq
+                return v, ArrI(var, idx, ann, dp0, p), dq
             # the substitution renamed p's binder to var, a name fresh for p:
             # split against p's body renamed alike, then rename dP back
             body = substitute(p.body, {VarKey(p.var, idx): Var(var, idx)})
             v, dp0, dq = _split(premise, x, body, q)
             dp0 = _subst_d(dp0, x, None, p.body, {VarKey(var, idx): p.var})
-            return v, ArrI(p.var, idx, ann, dp0), dq
+            return v, ArrI(p.var, idx, ann, dp0, p), dq
 
         case ArrIW(var, idx, premise):
             assert isinstance(p, Abs) and p.idx == idx
             v, dp0, dq = _split(premise, x, p.body, q)
-            return v, ArrIW(p.var, idx, dp0), dq
+            return v, ArrIW(p.var, idx, dp0, p), dq
 
     raise AssertionError((d, p))

@@ -745,6 +745,15 @@ def test_deeply_nested_input_is_an_input_error(verb):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_deep_reduct_of_a_small_input_prints(capsys):
+    # O3's leftmost path builds a left spine one level deeper per step; the
+    # fuel-exhausted reduct, 1,101 deep, prints in full
+    o3 = "(lam x [] (app (app x[] x[]) x[]))"
+    code, out, err = run(capsys, "nf", "--fuel", "1100", f"(app {o3} {o3})")
+    assert (code, err) == (1, "")
+    assert out == "(app " * 1101 + o3 + f" {o3})" * 1101 + "\tfuel exhausted\t1100 steps\n"
+
+
 def test_memory_exhaustion_is_an_input_error(capsys, monkeypatch):
     # equiv's reachable sets grow with the square of the fuel on a term
     # whose reducts grow; running out of memory ends with one line, exit 2

@@ -24,7 +24,7 @@ from ikc.derivations import (
 )
 from ikc.envs import parse_env, print_judgment
 from ikc.errors import InputSyntaxError, RuleError
-from ikc.syntax import parse_term
+from ikc.syntax import Abs, App, parse_term
 from ikc.types import CanonType, CArrow, CAtom, parse_type
 
 
@@ -94,6 +94,56 @@ def test_inter_i_needs_identical_env():
 def test_exp_rule_lifts_subject_env_type():
     d = ExpRule(2, Ax("x", CAtom("a")))
     assert check(d) == "(judg x[2] ((x [2] (e 2 a))) (e 2 a))"
+
+
+def _given_terms():
+    """(rule class, premises, a term that is the conclusion's subject, terms
+    that are not), for each rule that takes its caller's term."""
+    y, a = var_intro("y", pt("a")), pt("a")
+    f = var_intro("f", pt("(-> a b)"))
+    ax = Ax("x", CAtom("a"))
+    return [
+        (Ax, ("x", CAtom("a")), parse_term("x[]"), ["y[]", "x[1]", "(lam x [] x[])"]),
+        (ArrI, ("y", (), a, y), parse_term("(lam y [] y[])"), ["(lam z [] y[])", "y[]"]),
+        (ArrIW, ("x", (), y), parse_term("(lam x [] y[])"), ["(lam x [1] y[])", "y[]"]),
+        (ArrE, (f, y), parse_term("(app f[] y[])"), ["(app y[] f[])", "f[]"]),
+        (ExpRule, (2, ax), parse_term("x[2]"), ["x[1]", "y[2]", "(lam x [2] x[2])"]),
+        (
+            ExpRule,
+            (1, ArrE(f, y)),
+            parse_term("(app f[1] y[1])"),
+            ["(app f[1] y[1 0])", "(app f[1] z[1])", "(app y[1] f[1])"],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_rules_conclude_the_same_judgment_whatever_term_they_are_given(case):
+    # a term is used only when its parts are the premises' subjects (the
+    # lift of the premise's, for exp); any other term is ignored
+    rule, premises, fitting, misfits = _given_terms()[case]
+    want = rule(*premises).judgment
+    for text in misfits:
+        assert rule(*premises, parse_term(text)).judgment == want
+    assert rule(*premises, fitting).judgment == want
+
+
+def test_rules_reuse_a_term_built_over_their_premises_subjects():
+    y = var_intro("y", pt("a"))
+    f = var_intro("f", pt("(-> a b)"))
+    lam = Abs("y", (), y.judgment.subject)
+    assert ArrI("y", (), pt("a"), y, lam).judgment.subject is lam
+    weak = Abs("x", (), y.judgment.subject)
+    assert ArrIW("x", (), y, weak).judgment.subject is weak
+    app = App(f.judgment.subject, y.judgment.subject)
+    assert ArrE(f, y, app).judgment.subject is app
+    # a copy of the right shape over other objects is not taken
+    copy = parse_term("(app f[] y[])")
+    assert ArrE(f, y, copy).judgment.subject is not copy
+    var = parse_term("x[]")
+    assert Ax("x", CAtom("a"), var).judgment.subject is var
+    lifted = parse_term("(app f[1] y[1])")
+    assert ExpRule(1, ArrE(f, y), lifted).judgment.subject is lifted
 
 
 def test_sub_rule():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikc import reduction
-from ikc.gen import enumerate_terms, random_term
+from ikc.gen import enumerate_closed, enumerate_terms, random_term
 from ikc.reduction import (
     FuelExhausted,
+    LeftmostBeta,
     NormalForm,
     Relation,
     Verdict,
@@ -31,6 +32,7 @@ from ikc.syntax import (
     lift,
     parse_term,
     print_term,
+    term_size,
 )
 
 
@@ -124,6 +126,80 @@ def test_normalize_fuel_exhaustion():
     out = normalize(omega, Relation.BETA, 25)
     assert isinstance(out, FuelExhausted)
     assert out.steps == 25
+
+
+# ---------------------------------------------------------------- leftmost path
+
+
+def _keyed_walk(m, limit):
+    """The leftmost beta path keyed at every term: (steps, last term,
+    revisited term or None), stopping after limit steps."""
+    seen, steps, t = {alpha_key(m)}, [], m
+    while len(steps) < limit:
+        hit = first_step(t, Relation.BETA)
+        if hit is None:
+            break
+        source, t = t, hit[2]
+        key = alpha_key(t)
+        if key in seen:
+            return steps, t, t
+        seen.add(key)
+        steps.append((source, hit[1]))
+    return steps, t, None
+
+
+def _gated_walk(m, limit):
+    walk = LeftmostBeta(m)
+    steps = []
+    for step in walk:
+        steps.append(step)
+        assert walk.size == term_size(walk.term)
+        if len(steps) == limit:
+            break
+    return steps, walk.term, walk.revisited
+
+
+# x x through a redex of another size: (X X) -> (lam y. y y) X -> X X, and
+# the same with two redexes between the repeats
+_X = "(lam x [] (app (lam y [] (app y[] y[])) x[]))"
+_Y = "(lam x [] (app (lam y [] (app (lam z [] (app z[] z[])) y[])) x[]))"
+_CYCLES = [
+    "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))",
+    f"(app {_X} {_X})",
+    f"(app {_Y} {_Y})",
+    f"(app (lam w [] (app {_X} {_X})) (lam q [] q[]))",
+    f"(app (lam w [] (app w[] {_Y})) {_Y})",
+    "(app (lam x [1] (app x[1] x[1])) (lam x [1] (app x[1] x[1])))",
+]
+
+
+@pytest.mark.parametrize("text", _CYCLES)
+def test_size_gated_revisit_matches_keying_every_term_on_cycles(text):
+    m = parse_term(text)
+    want = _keyed_walk(m, 50)
+    assert want[2] is not None
+    assert _gated_walk(m, 50) == want
+
+
+def test_size_gated_revisit_matches_keying_every_term_on_enum7():
+    stepped = 0
+    for m in enumerate_closed(7):
+        want = _keyed_walk(m, 40)
+        assert _gated_walk(m, 40) == want, print_term(m)
+        stepped += bool(want[0])
+    assert stepped > 300
+
+
+def test_size_gate_keys_only_terms_that_share_a_size(monkeypatch):
+    # X X, (lam y. y y) X, X X: the second term has no earlier term of its
+    # size, so only the third and first are keyed
+    keyed = []
+    monkeypatch.setattr(reduction, "alpha_key", lambda m: keyed.append(m) or alpha_key(m))
+    m = parse_term(f"(app {_X} {_X})")
+    walk = LeftmostBeta(m)
+    assert len(list(walk)) == 1
+    assert walk.revisited == m and walk.size == term_size(m)
+    assert keyed == [walk.revisited, m]
 
 
 # ---------------------------------------------------------------- equivalence

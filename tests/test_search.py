@@ -11,7 +11,7 @@ from ikc import reduction, search
 from ikc.derivations import check_derivation, print_derivation
 from ikc.envs import Judgment, env_empty, mk_env, parse_env
 from ikc.search import Found, Refuted, Unknown, bounded_typecheck
-from ikc.syntax import VarKey, alpha_key, parse_term
+from ikc.syntax import VarKey, alpha_key, parse_term, print_term
 from ikc.types import parse_type
 
 
@@ -327,6 +327,23 @@ def test_search_outcomes_print_as_pinned(corpus):
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(lines) == 23734 + 90
     assert digest == "938ea9ad86f728bd024bb1ca2768f67aad0ad40861d87a82147c8ea163360892"
+
+
+def test_found_derivations_conclude_at_the_subject_itself():
+    # every rule node on the way reuses the subject its caller holds, so a
+    # Found concludes at m itself, not at a rebuilt copy
+    from ikc.gen import enumerate_closed
+    from ikc.semantics import EXAMPLE_TYPES
+
+    found = 0
+    for tag in ("id0", "id1"):
+        u = EXAMPLE_TYPES[tag]
+        for m in enumerate_closed(7, u.degree):
+            out = bounded_typecheck(m, env_empty(), u)
+            if isinstance(out, Found):
+                found += 1
+                assert out.derivation.judgment.subject is m, print_term(m)
+    assert found == 42
 
 
 # the self-application at degree [1]: its leftmost path revisits it

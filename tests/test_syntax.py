@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -24,6 +25,7 @@ from ikc.syntax import (
     is_beta_redex,
     is_closed,
     is_eta_redex,
+    is_lift,
     joinable,
     lift,
     lower,
@@ -136,9 +138,63 @@ def _nodes(terms):
 
 
 def test_enumerated_terms_share_maps():
+    # one map object per distinct free-variable set
     nodes = _nodes(enumerate_terms(6))
     maps = {id(t._fv) for t in nodes}
+    assert len(maps) == len({frozenset(t._fv.items()) for t in nodes})
     assert len(maps) * 4 <= len(nodes), (len(maps), len(nodes))
+
+
+def test_equal_free_variable_sets_share_one_map(small_terms):
+    # the memo tables key by the identities of the maps they combine, which
+    # is sound only while every node's map is the one the table holds
+    rng = random.Random(1187)
+    terms = small_terms + [random_term(rng, 4 + i % 9) for i in range(400)]
+    by_set = {}
+    for t in _nodes(terms):
+        fv_set = frozenset(t._fv.items())
+        assert by_set.setdefault(fv_set, t._fv) is t._fv, print_term(t)
+        assert syntax._FV_BY_SET[fv_set] is t._fv
+    assert len(by_set) > 20
+
+
+def test_copies_hold_the_tables_map():
+    m = parse_term("(app (lam x [] (app f[] x[])) (app y[] f[]))")
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert copied == m
+        assert copied._fv is m._fv and copied.fun._fv is m.fun._fv
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("(app (app x[] y[]) (app x[1] y[1]))", "x"),
+        ("(app (app y[] x[]) (app x[1] y[1]))", "x"),
+        ("(app (app x[] y[]) (app y[1] (app x[1] y[1])))", "x"),
+        ("(app (app x[] y[]) (app (app x[1] y[1]) y[1]))", "x"),
+        ("(app (app (app x[] y[]) z[]) (lam w [] (app (app z[] y[1]) x[1])))", "y"),
+    ],
+)
+def test_joinability_error_on_two_names_is_unchanged(text, name):
+    # the error names the first clash in the argument's own order, whatever
+    # order the shared map for its free variables was first built in
+    App(Var("y", (1,)), Var("x", (1,)))
+    with pytest.raises(JoinabilityError, match=rf"^{name} free at \[\] and \[1\]$"):
+        parse_term(text)
+
+
+@pytest.mark.parametrize(
+    "replacement, name",
+    [
+        ("(app (app w[] x[1]) y[1])", "x"),
+        ("(app (app w[] y[1]) (app h[1] x[1]))", "y"),
+        ("(app (app z[] x[1]) y[1])", "x"),
+    ],
+)
+def test_substitution_joinability_error_on_two_names_is_unchanged(replacement, name):
+    m = parse_term("(lam q [] (app (app h[] x[]) (app y[] z[])))")
+    with pytest.raises(JoinabilityError, match=rf"^{name} free at \[\] and \[1\]$"):
+        substitute(m, {VarKey("z", ()): parse_term(replacement)})
 
 
 def _recomputed_redexes(t):
@@ -555,6 +611,24 @@ def test_term_size_of_a_deep_term_does_not_recurse(make, per_level):
     for _ in range(10_000):
         m = make(m)
     assert term_size(m) == 1 + per_level * 10_000
+
+
+def test_print_term_of_a_deep_term_does_not_recurse():
+    # a 5,000-deep application spine and abstraction chain, and is_lift on
+    # the lifted spine
+    spine = Var("x", ())
+    chain = Var("x", ())
+    for i in range(5_000):
+        spine = App(spine, Var(f"y{i % 2}", ()))
+        chain = Abs(f"v{i % 3}", (), chain)
+    assert print_term(spine) == "(app " * 5_000 + "x[]" + "".join(
+        f" y{i % 2}[])" for i in range(5_000)
+    )
+    assert print_term(chain) == "".join(
+        f"(lam v{i % 3} [] " for i in reversed(range(5_000))
+    ) + "x[]" + ")" * 5_000
+    assert is_lift(lift(spine, 3), spine, 3)
+    assert not is_lift(lift(spine, 3), spine, 2)
 
 
 @pytest.mark.parametrize(
