@@ -243,25 +243,31 @@ class LeftmostBeta:
 
     def __init__(self, m: Term):
         self.term = m
-        self.size: int | None = None  # set at the first step
+        self.size: int | None = None  # the size of .term once a step is taken
         self.revisited: Term | None = None
 
     def __iter__(self) -> Iterator[tuple[Term, Path]]:
-        hit = first_step(self.term, Relation.BETA)
-        if hit is None:
-            return
-        self.size = term_size(self.term)
         # size -> the earlier terms of that size, each replaced by its key
-        # once it is keyed
+        # once it is keyed.  The first term is sized only when a reduct
+        # with a redex could repeat it, so a one-step path sizes one term.
         earlier: dict[int, list] = {}
+        first = self.term
         key = None  # the current term's key, once made
+        hit = first_step(first, Relation.BETA)
         while hit is not None:
             source, self.term = self.term, hit[2]
-            earlier.setdefault(self.size, []).append(source if key is None else key)
+            if source is not first:
+                earlier.setdefault(self.size, []).append(source if key is None else key)
             self.size = term_size(self.term)
             key = None
+            if not self.term.redexes & BETA_BIT:
+                yield source, hit[1]
+                return
+            if first is not None:
+                earlier.setdefault(term_size(first), []).append(first)
+                first = None
             same = earlier.get(self.size)
-            if same and self.term.redexes & BETA_BIT:
+            if same:
                 key = alpha_key(self.term)
                 for i, t in enumerate(same):
                     if t.__class__ is not tuple:

@@ -177,7 +177,7 @@ def bounded_typecheck(
     out = _Searcher(fuel).solve(lower(m, k), env_lower(g, k), lower_type(u, k), k)
     if isinstance(out, Found):
         out = Found(sub_to(_expand_to(m, k, out.derivation), g, u))
-        assert out.derivation.judgment == Judgment(m, g, u), d.judgment
+        assert out.derivation.judgment == Judgment(m, g, u), out.derivation.judgment
     return out
 
 
@@ -187,7 +187,7 @@ def bounded_typecheck(
 class _Searcher:
     def __init__(self, fuel: int):
         self.fuel = fuel
-        self.memo: dict[tuple[Term, Env, CanonType], Outcome] = {}
+        self.memo: dict[tuple[Term, Env, CanonType], list[Outcome]] = {}
 
     def solve(self, m: Term, g: Env, u: CanonType, k: Index) -> Outcome:
         """m : <g |- u> at degree [] through the beta normal form of m, for
@@ -213,15 +213,16 @@ class _Searcher:
         return Found(expand_along(out.derivation, trail))
 
     def goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
-        key = (m, g, u)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        # one lookup per goal: a term hashes by walking it, so the cell is
+        # placed once and filled when the goal is decided
+        cell = self.memo.setdefault((m, g, u), [])
+        if cell:
+            return cell[0]
         if self.fuel <= 0:
             return _FUEL_OUT
         self.fuel -= 1
         out = self._dispatch(m, g, u)
-        self.memo[key] = out
+        cell.append(out)
         return out
 
     def _dispatch(self, m: Term, g: Env, u: CanonType) -> Outcome:

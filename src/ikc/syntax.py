@@ -88,12 +88,13 @@ ETA_BIT = 2
 
 # Each node's _fv is the map, name -> Index, that _FV_BY_SET holds for its
 # free-variable set.  The table keeps every map for the life of the process,
-# so no map's id() is reused, and the three memo tables key by those ids.
+# so no map's id() is reused, and the memo tables below key by those ids.
 _NO_FV: dict[str, Index] = {}
 _FV_BY_SET: dict[frozenset, dict[str, Index]] = {frozenset(): _NO_FV}
 _VAR_FV: dict[tuple[str, Index], dict[str, Index]] = {}  # x^L -> {x: L}
 _ABS_FV: dict[tuple[int, str], dict[str, Index]] = {}  # (id(body map), binder) -> map
 _APP_FV: dict[tuple[int, int], dict[str, Index]] = {}  # (id(fun map), id(arg map)) -> map
+_FREE_KEYS: dict[int, frozenset] = {}  # id(map) -> free_vars of its nodes
 
 # sets a slot of a frozen node; only the node constructors use it
 _set = object.__setattr__
@@ -278,7 +279,12 @@ def is_eta_redex(m: Term) -> bool:
 
 
 def free_vars(m: Term) -> frozenset[VarKey]:
-    return frozenset(VarKey(n, l) for n, l in m._fv.items())
+    """m's free keys: one frozenset per map, so per free-variable set."""
+    fv = m._fv
+    keys = _FREE_KEYS.get(id(fv))
+    if keys is None:
+        keys = _FREE_KEYS[id(fv)] = frozenset(VarKey(n, l) for n, l in fv.items())
+    return keys
 
 
 def all_names(m: Term) -> frozenset[str]:
