@@ -239,26 +239,34 @@ class LeftmostBeta:
     later one of its size is keyed; a normal form cannot repeat a term of
     the path, so it is never keyed."""
 
-    __slots__ = ("term", "size", "revisited")
+    __slots__ = ("term", "_size", "revisited")
 
     def __init__(self, m: Term):
         self.term = m
-        self.size: int | None = None  # the size of .term once a step is taken
+        self._size: int | None = None
         self.revisited: Term | None = None
+
+    @property
+    def size(self) -> int:
+        """The size of .term; a normal form is measured only if this is read."""
+        if self._size is None:
+            self._size = term_size(self.term)
+        return self._size
 
     def __iter__(self) -> Iterator[tuple[Term, Path]]:
         # size -> the earlier terms of that size, each replaced by its key
         # once it is keyed.  The first term is sized only when a reduct
-        # with a redex could repeat it, so a one-step path sizes one term.
+        # with a redex could repeat it, so a one-step path sizes no term
+        # unless its caller reads .size.
         earlier: dict[int, list] = {}
         first = self.term
         key = None  # the current term's key, once made
         hit = first_step(first, Relation.BETA)
         while hit is not None:
             source, self.term = self.term, hit[2]
-            if source is not first:
-                earlier.setdefault(self.size, []).append(source if key is None else key)
-            self.size = term_size(self.term)
+            if source is not first:  # a term with a redex: it was sized
+                earlier.setdefault(self._size, []).append(source if key is None else key)
+            self._size = None
             key = None
             if not self.term.redexes & BETA_BIT:
                 yield source, hit[1]

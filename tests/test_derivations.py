@@ -117,7 +117,9 @@ def _given_terms():
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize(
+    "case", range(6), ids=["ax", "arrI", "arrIW", "arrE", "exp-var", "exp-app"]
+)
 def test_rules_conclude_the_same_judgment_whatever_term_they_are_given(case):
     # a term is used only when its parts are the premises' subjects (the
     # lift of the premise's, for exp); any other term is ignored
