@@ -4,8 +4,8 @@
 
 The snapshot holds, with the machine facts:
 
-- tier-1: the test suite's wall time, its pass/fail counts and every
-  test's duration (setup, call and teardown, from pytest's JUnit report),
+- tier-1: the test suite's wall time, its pass/fail counts, the tests
+  that failed and every test's duration (setup, call and teardown, from pytest's JUnit report),
   the acceptance criteria's among them;
 - the three workloads of BENCHMARK.json, each run once by
   perfbench/run.py at --trace 0 (end-to-end metrics) and at --trace 1
@@ -73,7 +73,7 @@ def tier1() -> dict:
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
         wall = time.perf_counter() - t0
-        durations, outcomes = {}, {"passed": 0, "failed": 0, "skipped": 0}
+        durations, outcomes, failed = {}, {"passed": 0, "failed": 0, "skipped": 0}, []
         if report.exists():
             for case in ET.parse(report).getroot().iter("testcase"):
                 test = f"{case.get('classname')}::{case.get('name')}"
@@ -85,11 +85,14 @@ def tier1() -> dict:
                     else "passed"
                 )
                 outcomes[outcome] += 1
+                if outcome == "failed":
+                    failed.append(test)
     return {
         "exit_code": proc.returncode,
         "wall_s": round(wall, 2),
         **outcomes,
         "summary": proc.stdout.strip().splitlines()[-1:] or [""],
+        "failed_tests": failed,
         "criteria_s": {t: s for t, s in durations.items() if "test_criterion_" in t},
         "durations_s": durations,
     }
