@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -197,7 +198,7 @@ def test_size_gate_keys_only_terms_that_share_a_size(monkeypatch):
     monkeypatch.setattr(reduction, "alpha_key", lambda m: keyed.append(m) or alpha_key(m))
     m = parse_term(f"(app {_X} {_X})")
     walk = LeftmostBeta(m)
-    assert len(list(walk)) == 1
+    assert len(list(itertools.islice(walk, 5))) == 1
     assert walk.revisited == m and walk.size == term_size(m)
     assert keyed == [walk.revisited, m]
 
