@@ -187,7 +187,7 @@ def bounded_typecheck(
 class _Searcher:
     def __init__(self, fuel: int):
         self.fuel = fuel
-        self.memo: dict[tuple[Term, Env, CanonType], list[Outcome]] = {}
+        self.memo: dict[tuple[Term, Env, CanonType], Outcome] = {}
 
     def solve(self, m: Term, g: Env, u: CanonType, k: Index) -> Outcome:
         """m : <g |- u> at degree [] through the beta normal form of m, for
@@ -213,16 +213,15 @@ class _Searcher:
         return Found(expand_along(out.derivation, trail))
 
     def goal(self, m: Term, g: Env, u: CanonType) -> Outcome:
-        # one lookup per goal: a term hashes by walking it, so the cell is
-        # placed once and filled when the goal is decided
-        cell = self.memo.setdefault((m, g, u), [])
-        if cell:
-            return cell[0]
+        key = (m, g, u)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         if self.fuel <= 0:
             return _FUEL_OUT
         self.fuel -= 1
         out = self._dispatch(m, g, u)
-        cell.append(out)
+        self.memo[key] = out
         return out
 
     def _dispatch(self, m: Term, g: Env, u: CanonType) -> Outcome:

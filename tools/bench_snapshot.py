@@ -1,15 +1,15 @@
 """Write one benchmark snapshot of this checkout: BENCH_<label>.json.
 
-    python3 tools/bench_snapshot.py --label NAME [--seconds 25] [--seed 1]
+    python3 tools/bench_snapshot.py --label NAME [--out DIR]
 
 The snapshot holds, with the machine facts:
 
 - tier-1: the test suite's wall time, its pass/fail counts, the tests
   that failed and every test's duration (setup, call and teardown, from pytest's JUnit report),
   the acceptance criteria's among them;
-- the three workloads of BENCHMARK.json, each run once by
-  perfbench/run.py at --trace 0 (end-to-end metrics) and at --trace 1
-  (per-layer metrics), with the facts each run printed.
+- the workloads of BENCHMARK.json, each run once by its command for its
+  run_seconds at seed 1, at --trace 0 (end-to-end metrics) and at
+  --trace 1 (per-layer metrics), with the facts each run printed.
 
 Two snapshots compare only when they come from the same machine; a
 speed-up is claimed from paired runs, which a snapshot does not replace.
@@ -98,11 +98,14 @@ def tier1() -> dict:
     }
 
 
-def workload_run(name: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench/run.py run; the facts and result lines it printed."""
+SEED = 1  # one seed for every snapshot, so any two compare
+
+
+def workload_run(spec: dict, name: str, trace: int) -> dict:
+    """One run of the benchmark's command; the facts and result lines it printed."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [*spec["command"], "--workload", name, "--seed", str(SEED),
+         "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -114,8 +117,6 @@ def workload_run(name: str, seed: int, seconds: float, trace: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="the snapshot is BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=25.0, help="length of each workload run")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write to")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
     for w in spec["workloads"]:
         runs = snapshot["workloads"][w["name"]] = {}
         for trace in (0, 1):
-            runs[f"trace{trace}"] = workload_run(w["name"], args.seed, args.seconds, trace)
+            runs[f"trace{trace}"] = workload_run(spec, w["name"], trace)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(path)
