@@ -50,7 +50,10 @@ def _load(arg: str) -> str:
         p = Path(arg)
         if not p.is_file():
             raise InputSyntaxError(f"no such file: {arg}")
-        return p.read_text()
+        try:
+            return p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise InputSyntaxError(f"{arg}: not UTF-8 text ({e.reason})") from None
     return arg
 
 

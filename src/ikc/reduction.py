@@ -22,16 +22,14 @@ step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
 term is keyed twice, and the confluence checker steps each term once per call.
 first_step finds the leftmost-outermost step in one descent along the mask,
-building no other reduct and no generator (its h branch reads the spine);
-LeftmostBeta walks the leftmost beta path for the oracles and the search,
-and exposes each term's size, which the search charges as fuel.  It keys a
-reduct only when it still has a beta redex and an earlier term of the path
-has its size, and an earlier term only then: the mask and the size are
-alpha-invariant, so the normal form that ends a path can never repeat one
-of its earlier terms, and a term can repeat only one of its own size;
-reachable is the one depth-bounded reachable-set walk, lazy so that a caller
-can stop at its first hit, shared by the confluence checker,
-semantics.saturation_check and equiv, which runs two, one from each term.
+building no other reduct and no generator; under h the same descent stops
+where it would leave the spine.  LeftmostBeta walks the leftmost beta path
+for the oracles and the search.  It keys each reduct that still has a beta
+redex, and its source: the mask is alpha-invariant, so the normal form that
+ends a path can never repeat one of its earlier terms.  reachable is the
+one depth-bounded reachable-set walk, lazy so that a caller can stop at its
+first hit, shared by the confluence checker, semantics.saturation_check and
+equiv, which runs two, one from each term.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .syntax import (
     is_beta_redex,
     is_eta_redex,
     substitute,
-    term_size,
 )
 
 Path = tuple[str, ...]  # entries: "fun" | "arg" | "body"
@@ -68,7 +65,7 @@ class Relation(Enum):
 def beta_contract(m: App) -> Term:
     f = m.fun
     assert isinstance(f, Abs)
-    return substitute(f.body, {VarKey(f.var, f.idx): m.arg})
+    return substitute(f.body, VarKey(f.var, f.idx), m.arg)
 
 
 def _rebuild(above: list[Term], path: list[str] | Path, r: Term) -> Term:
@@ -128,29 +125,15 @@ _KINDS = {
 }
 
 
-def _head_position(m: Term) -> tuple[Path, Term] | None:
-    """The head beta step of m, if the spine head is a contractible redex."""
-    if not m.redexes & BETA_BIT:
-        return None
-    spine: list[Term] = []
-    t = m
-    while isinstance(t, App) and isinstance(t.fun, App):
-        spine.append(t)
-        t = t.fun
-    if not is_beta_redex(t):
-        return None
-    path = ("fun",) * len(spine)
-    return path, _rebuild(spine, path, beta_contract(t))
-
-
 def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
-    """The leftmost-outermost step of m, step_positions(m, r)[0], or None."""
-    if r is Relation.H:
-        hp = _head_position(m)
-        return ("beta", hp[0], hp[1]) if hp else None
+    """The leftmost-outermost step of m, step_positions(m, r)[0], or None.
+
+    One descent along the mask.  A head step lies on the spine, so under h
+    the descent gives up where it would leave the spine."""
     kinds = _KINDS[r]
     if not m.redexes & kinds:
         return None
+    spine_only = r is Relation.H
     # a node whose mask meets kinds is a redex, or its leftmost such part holds one
     above: list[Term] = []  # the nodes along path, m first
     path: list[str] = []
@@ -164,6 +147,8 @@ def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
             return "eta", tuple(path), _rebuild(above, path, t.body.fun)
         else:
             way = "body"
+        if spine_only and way != "fun":
+            return None
         above.append(t)
         path.append(way)
         t = getattr(t, way)
@@ -228,63 +213,29 @@ def normalize(m: Term, r: Relation, fuel: int) -> ReductionOutcome:
 
 class LeftmostBeta:
     """The leftmost beta path from a term: iterating takes one step per item
-    and yields (source, path to the redex), leaving the reduct in .term and
-    its size in .size.  It ends at a normal form (in .term), or at a reduct
-    whose alpha class came before (in .revisited), which proves there is no
-    normal form since leftmost reduction is normalising.  Callers own the
-    budget.
+    and yields (source, path to the redex), leaving the reduct in .term.  It
+    ends at a normal form (in .term), or at a reduct whose alpha class came
+    before (in .revisited), which proves there is no normal form since
+    leftmost reduction is normalising.  Callers own the budget."""
 
-    Alpha-equivalent terms have one size, so a reduct is keyed only when an
-    earlier term of the path has its size, and an earlier term only when a
-    later one of its size is keyed; a normal form cannot repeat a term of
-    the path, so it is never keyed."""
-
-    __slots__ = ("term", "_size", "revisited")
+    __slots__ = ("term", "revisited")
 
     def __init__(self, m: Term):
         self.term = m
-        self._size: int | None = None
         self.revisited: Term | None = None
 
-    @property
-    def size(self) -> int:
-        """The size of .term; a normal form is measured only if this is read."""
-        if self._size is None:
-            self._size = term_size(self.term)
-        return self._size
-
     def __iter__(self) -> Iterator[tuple[Term, Path]]:
-        # size -> the earlier terms of that size, each replaced by its key
-        # once it is keyed.  The first term is sized only when a reduct
-        # with a redex could repeat it, so a one-step path sizes no term
-        # unless its caller reads .size.
-        earlier: dict[int, list] = {}
-        first = self.term
-        key = None  # the current term's key, once made
-        hit = first_step(first, Relation.BETA)
-        while hit is not None:
+        seen, key = set(), None
+        while (hit := first_step(self.term, Relation.BETA)) is not None:
             source, self.term = self.term, hit[2]
-            if source is not first:  # a term with a redex: it was sized
-                earlier.setdefault(self._size, []).append(source if key is None else key)
-            self._size = None
-            key = None
-            if not self.term.redexes & BETA_BIT:
-                yield source, hit[1]
-                return
-            if first is not None:
-                earlier.setdefault(term_size(first), []).append(first)
-                first = None
-            same = earlier.get(self.size)
-            if same:
+            # a normal form cannot repeat a term of the path: it is not keyed
+            if self.term.redexes & BETA_BIT:
+                seen.add(key or alpha_key(source))
                 key = alpha_key(self.term)
-                for i, t in enumerate(same):
-                    if t.__class__ is not tuple:
-                        same[i] = t = alpha_key(t)
-                    if t == key:
-                        self.revisited = self.term
-                        return
+                if key in seen:
+                    self.revisited = self.term
+                    return
             yield source, hit[1]
-            hit = first_step(self.term, Relation.BETA)
 
 
 # ---------------------------------------------------------------- equivalence

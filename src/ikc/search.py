@@ -36,8 +36,7 @@ At degree [] every goal on a normal form is decided by exhaustive inversion:
 
 Fuel is the one budget: a visited goal costs 1 and a leftmost step costs
 the size of its reduct, so work stays proportional to the fuel even on a
-term that grows along its leftmost path; the walk reports that size
-(reduction.LeftmostBeta.size), so no step is measured twice.
+term that grows along its leftmost path.
 
 The derivations share the subjects the search holds: each rule node is
 handed the term of its goal (an abstraction, an application of the spine,
@@ -63,6 +62,7 @@ from .syntax import (
     lift,
     lower,
     print_term,
+    term_size,
 )
 from .types import (
     CanonT,
@@ -196,7 +196,7 @@ class _Searcher:
         trail = []
         for step in walk:
             trail.append(step)
-            self.fuel -= walk.size
+            self.fuel -= term_size(walk.term)
             if self.fuel < 0:
                 return _FUEL_OUT
         if walk.revisited is not None:

@@ -26,12 +26,14 @@ from a definite non-member verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .envs import env_empty
 from .errors import PreconditionError
 from .reduction import LeftmostBeta, Relation, reachable
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
+    BETA_BIT,
     Abs,
     App,
     Index,
@@ -79,18 +81,21 @@ class OracleVerdict:
 
 
 def leftmost_beta_nf(m: Term, fuel: int) -> tuple[Term | None, bool]:
-    """Run leftmost beta steps to a normal form; fuel counts steps.
+    """Run leftmost beta steps to a normal form; fuel counts steps, and a
+    term with no beta redex after fuel steps is the normal form.
 
     Returns (nf, False) on success, (None, True) when the leftmost path
     revisits an alpha class (no normal form exists), and (None, False)
     when fuel runs out first.
     """
     walk = LeftmostBeta(m)
-    steps = iter(walk)
-    for _ in range(fuel):
-        if next(steps, None) is None:
-            return (None, True) if walk.revisited is not None else (walk.term, False)
-    return None, False
+    for _ in islice(walk, fuel):
+        pass
+    if walk.revisited is not None:
+        return None, True
+    if walk.term.redexes & BETA_BIT:
+        return None, False
+    return walk.term, False
 
 
 # ---------------------------------------------------------------- patterns

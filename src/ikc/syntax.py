@@ -42,9 +42,9 @@ whole prefix, like types.lower_type.  is_lift decides n == lift(m, i) by one
 walk that builds no term, so a rule node that is handed its subject checks
 it instead of lifting.  alpha_canon is read back from alpha_key, whose one
 walk numbers the binders.  print_term is an explicit-stack walk too, so a
-term of any depth prints.  substitute with one binding, the case of every
-beta contraction, walks with that binding alone and builds no per-node map
-of live bindings; substitute and term_at recurse.
+term of any depth prints.  substitute takes one binding, all that beta
+contraction and the substitution lemma need; its one walk, which recurses
+like term_at, renames a capturing binder before it substitutes under it.
 
 Each node class writes its own __init__, which checks formation and sets
 every slot in one pass; the dataclass still gives equality, hashing, repr
@@ -411,85 +411,51 @@ class Avoid:
 # ---------------------------------------------------------------- substitution
 
 
-def substitute(m: Term, binds: dict[VarKey, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution.
+def substitute(m: Term, x: VarKey, n: Term) -> Term:
+    """Capture-avoiding substitution m[x^L := n].
 
-    Each binding x^L := N needs d(N) = L, and the family {m} + replacements
-    must be pairwise joinable.  Binders are renamed only on a name collision
-    with a replacement's free names; the fresh choice never looks at indexes,
-    so substitution commutes exactly with lifting and lowering.  It is the
-    one renamer: the derivation transports read binder names off its output.
-    One binding, the case of every beta contraction, walks by _subst1, which
-    makes no per-node map of live bindings.
+    n needs d(n) = L, and must be joinable with m once x^L is gone.  A
+    binder is renamed only on a name collision with n's free names; the
+    fresh choice never looks at indexes, so substitution commutes exactly
+    with lifting and lowering.  It is the one renamer: the derivation
+    transports read binder names off its output.
     """
-    for (x, l), n in binds.items():
-        if n.degree != l:
-            raise DegreeError(
-                f"replacement for {x}{index_str(l)} has degree {index_str(n.degree)}"
-            )
-    if len(binds) == 1:
-        ((x, l), n), = binds.items()
-        fv = m._fv
-        if fv.get(x) != l:
-            return m
-        # the key's entry disappears, so x itself cannot clash; a clash
-        # takes the general route, which names it
-        if all(name == x or fv.get(name, i) == i for name, i in n._fv.items()):
-            return _subst1(m, x, l, n, Avoid(m, n))
-    merged: dict[str, Index] = dict(m._fv)
-    payloads = []
-    for (x, l), n in binds.items():
-        # a binding only fires when its exact key is free in m; the key's
-        # entry disappears, so only live payloads enter the joinability check
-        if merged.get(x) == l:
-            del merged[x]
-            payloads.append(n)
-    for n in payloads:
-        for name in _fv_order(n):
-            idx = n._fv[name]
-            if merged.setdefault(name, idx) != idx:
-                raise JoinabilityError(
-                    f"{name} free at {index_str(merged[name])} and {index_str(idx)}"
-                )
-    return _subst(m, binds, Avoid(m, *binds.values()))
+    name, l = x
+    if n.degree != l:
+        raise DegreeError(
+            f"replacement for {name}{index_str(l)} has degree {index_str(n.degree)}"
+        )
+    fv, nfv = m._fv, n._fv
+    if fv.get(name) != l:
+        return m
+    # the key's entry disappears, so x itself cannot clash
+    if not all(y == name or fv.get(y, i) == i for y, i in nfv.items()):
+        y = next(y for y in _fv_order(n) if y != name and fv.get(y, nfv[y]) != nfv[y])
+        raise JoinabilityError(f"{y} free at {index_str(fv[y])} and {index_str(nfv[y])}")
+    return _subst(m, name, l, n, Avoid(m, n))
 
 
-def _subst1(m: Term, x: str, l: Index, n: Term, avoid: Avoid) -> Term:
+def _subst(m: Term, x: str, l: Index, n: Term, avoid: Avoid) -> Term:
     """m[x^l := n] for x^l free in m.  A binder that would capture a free
-    name of n hands its subtree to _subst, so the fresh names are _subst's."""
+    name of n is first renamed, by this walk, to a fresh name: no binder
+    below holds it and n does not mention it."""
     cls = m.__class__
     if cls is Var:  # x^l is free in m, so m is x^l
         return n
     if cls is App:
         fun, arg = m.fun, m.arg
         if fun._fv.get(x) == l:
-            fun = _subst1(fun, x, l, n, avoid)
+            fun = _subst(fun, x, l, n, avoid)
         if arg._fv.get(x) == l:
-            arg = _subst1(arg, x, l, n, avoid)
+            arg = _subst(arg, x, l, n, avoid)
         return App(fun, arg)
-    if m.var in n._fv:
-        return _subst(m, {VarKey(x, l): n}, avoid)
-    return Abs(m.var, m.idx, _subst1(m.body, x, l, n, avoid))
-
-
-def _subst(m: Term, binds: dict[VarKey, Term], avoid: Avoid) -> Term:
-    live = {k: n for k, n in binds.items() if m._fv.get(k.name) == k.idx}
-    if not live:
-        return m
-    match m:
-        case Var(name, idx):
-            return live.get(VarKey(name, idx), m)
-        case App(fun, arg):
-            return App(_subst(fun, live, avoid), _subst(arg, live, avoid))
-        case Abs(var, idx, body):
-            if any(var in n._fv for n in live.values()):
-                # rename the binder in the same pass: f is fresh, so no
-                # replacement mentions it and no binder below captures it
-                f, avoid = avoid.fresh()
-                live[VarKey(var, idx)] = Var(f, idx)
-                return Abs(f, idx, _subst(body, live, avoid))
-            return Abs(var, idx, _subst(body, live, avoid))
-    raise AssertionError(m)
+    var, idx, body = m.var, m.idx, m.body
+    if var in n._fv:
+        f, avoid = avoid.fresh()
+        if body._fv.get(var) == idx:
+            body = _subst(body, var, idx, Var(f, idx), avoid)
+        var = f
+    return Abs(var, idx, _subst(body, x, l, n, avoid))
 
 
 # ---------------------------------------------------------------- lift/lower

@@ -155,7 +155,7 @@ def subst_derivation(dm: Derivation, x: VarKey, dn: Derivation) -> Derivation:
         raise PreconditionError(
             "replacement derivation concludes at a different type than the binding"
         )
-    return _subst_d(dm, x, dn, substitute(jm.subject, {x: jn.subject}), {})
+    return _subst_d(dm, x, dn, substitute(jm.subject, x, jn.subject), {})
 
 
 def _subst_d(
@@ -517,7 +517,7 @@ def _split(
                 return v, ArrI(var, idx, ann, dp0, p), dq
             # the substitution renamed p's binder to var, a name fresh for p:
             # split against p's body renamed alike, then rename dP back
-            body = substitute(p.body, {VarKey(p.var, idx): Var(var, idx)})
+            body = substitute(p.body, VarKey(p.var, idx), Var(var, idx))
             v, dp0, dq = _split(premise, x, body, q)
             dp0 = _subst_d(dp0, x, None, p.body, {VarKey(var, idx): p.var})
             return v, ArrI(p.var, idx, ann, dp0, p), dq

@@ -189,6 +189,27 @@ def test_oracle_member(capsys):
     assert "member" in out
 
 
+_ID_REDEX = "(app (lam x [] x[]) (lam y [] y[]))"
+_OMEGA = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
+
+
+@pytest.mark.parametrize(
+    "term, fuel, code, verdict, detail",
+    [
+        # one fuel unit is one leftmost step, and a term with no redex left
+        # after its fuel is its normal form
+        ("(lam y [] y[])", 0, 0, "member", "normal form (lam y [] y[])"),
+        (_ID_REDEX, 0, 1, "undecided", "undecided within fuel"),
+        (_ID_REDEX, 1, 0, "member", "normal form (lam y [] y[])"),
+        (_OMEGA, 0, 1, "undecided", "undecided within fuel"),
+        (_OMEGA, 1, 1, "non-member", "no beta normal form on the leftmost path"),
+    ],
+)
+def test_oracle_fuel_counts_leftmost_steps(capsys, term, fuel, code, verdict, detail):
+    got = run(capsys, "oracle", "id0", term, "--fuel", str(fuel))
+    assert got == (code, f"{term}\t{verdict}\t{detail}\n", "")
+
+
 def test_oracle_non_member(capsys):
     code, out, _ = run(capsys, "oracle", "id0", "(lam y [] (app y[] y[]))")
     assert code == 1
@@ -282,6 +303,14 @@ def test_garbage_term_exits_two(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check-deriv", "corpus/no-such-file.drv")
     assert code == 2
+
+
+def test_non_utf8_file_is_one_input_error_line(capsys, tmp_path):
+    bad = tmp_path / "bad.trm"
+    bad.write_bytes(b"\xff\xfe(lam x [] x[])")
+    code, out, err = run(capsys, "check-term", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_unknown_tag_exits_two(capsys):

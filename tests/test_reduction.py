@@ -33,7 +33,6 @@ from ikc.syntax import (
     lift,
     parse_term,
     print_term,
-    term_size,
 )
 
 
@@ -150,13 +149,9 @@ def _keyed_walk(m, limit):
 
 
 def _gated_walk(m, limit):
+    """The same through LeftmostBeta, which keys no normal form."""
     walk = LeftmostBeta(m)
-    steps = []
-    for step in walk:
-        steps.append(step)
-        assert walk.size == term_size(walk.term)
-        if len(steps) == limit:
-            break
+    steps = list(itertools.islice(walk, limit))
     return steps, walk.term, walk.revisited
 
 
@@ -189,18 +184,6 @@ def test_size_gated_revisit_matches_keying_every_term_on_enum7():
         assert _gated_walk(m, 40) == want, print_term(m)
         stepped += bool(want[0])
     assert stepped > 300
-
-
-def test_size_gate_keys_only_terms_that_share_a_size(monkeypatch):
-    # X X, (lam y. y y) X, X X: the second term has no earlier term of its
-    # size, so only the third and first are keyed
-    keyed = []
-    monkeypatch.setattr(reduction, "alpha_key", lambda m: keyed.append(m) or alpha_key(m))
-    m = parse_term(f"(app {_X} {_X})")
-    walk = LeftmostBeta(m)
-    assert len(list(itertools.islice(walk, 5))) == 1
-    assert walk.revisited == m and walk.size == term_size(m)
-    assert keyed == [walk.revisited, m]
 
 
 # ---------------------------------------------------------------- equivalence
@@ -372,24 +355,20 @@ def _reference_tagged(m, path, kinds):
                 yield kind, p, App(fun, r)
 
 
-def _reference_head(m):
-    """The head step as it was found before redex masks: walk the spine."""
-    spine = 0
+def _head_position(m):
+    """The head step of m, found apart from first_step's descent: walk the
+    spine, reading no redex mask, and test its head."""
+    spine = []
     t = m
     while isinstance(t, App) and isinstance(t.fun, App):
-        spine += 1
+        spine.append(t)
         t = t.fun
     if not is_beta_redex(t):
-        return []
+        return None
     reduct = beta_contract(t)
-    args = []
-    u = m
-    for _ in range(spine):
-        args.append(u.arg)
-        u = u.fun
-    for a in reversed(args):
-        reduct = App(reduct, a)
-    return [("beta", ("fun",) * spine, reduct)]
+    for s in reversed(spine):
+        reduct = App(reduct, s.arg)
+    return "beta", ("fun",) * len(spine), reduct
 
 
 _REFERENCE_KINDS = {
@@ -401,7 +380,8 @@ _REFERENCE_KINDS = {
 
 def _reference_steps(m, r):
     if r is Relation.H:
-        return _reference_head(m)
+        hit = _head_position(m)
+        return [hit] if hit else []
     return list(_reference_tagged(m, (), _REFERENCE_KINDS[r]))
 
 
@@ -433,6 +413,17 @@ def test_step_walk_matches_reference_on_an_enum7_stride():
 
 def test_step_walk_matches_reference_on_criterion3_terms(criterion3_terms):
     assert _assert_walk_matches_reference(criterion3_terms) > 0
+
+
+def test_head_step_matches_the_spine_reference(enum6, criterion3_terms):
+    # the same kind, path and reduct, compared as terms, at degree [] and lifted
+    fired = 0
+    for m in enum6 + criterion3_terms:
+        for t in (m, lift(m, 2)):
+            want = _head_position(t)
+            assert first_step(t, Relation.H) == want, print_term(t)
+            fired += want is not None
+    assert fired > 1000
 
 
 # ---------------------------------------------------------------- deep terms

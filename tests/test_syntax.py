@@ -194,7 +194,7 @@ def test_joinability_error_on_two_names_is_unchanged(text, name):
 def test_substitution_joinability_error_on_two_names_is_unchanged(replacement, name):
     m = parse_term("(lam q [] (app (app h[] x[]) (app y[] z[])))")
     with pytest.raises(JoinabilityError, match=rf"^{name} free at \[\] and \[1\]$"):
-        substitute(m, {VarKey("z", ()): parse_term(replacement)})
+        substitute(m, VarKey("z", ()), parse_term(replacement))
 
 
 def _recomputed_redexes(t):
@@ -405,13 +405,13 @@ def test_lift_prepends_everywhere():
 
 def test_substitute_replaces_exact_key():
     m = parse_term("(app x[] y[])")
-    out = substitute(m, {VarKey("x", ()): parse_term("(lam z [] z[])")})
+    out = substitute(m, VarKey("x", ()), parse_term("(lam z [] z[])"))
     assert print_term(out) == "(app (lam z [] z[]) y[])"
 
 
 def test_substitute_avoids_capture():
     m = parse_term("(lam z [] x[])")
-    out = substitute(m, {VarKey("x", ()): parse_term("z[]")})
+    out = substitute(m, VarKey("x", ()), parse_term("z[]"))
     body = out
     assert isinstance(body, Abs)
     assert body.var != "z"
@@ -420,16 +420,14 @@ def test_substitute_avoids_capture():
 
 def test_substitute_ignores_other_indexes():
     m = parse_term("(app x[1] y[1])")
-    out = substitute(m, {VarKey("x", ()): parse_term("z[]")})
+    out = substitute(m, VarKey("x", ()), parse_term("z[]"))
     assert out == m
 
 
-def _eager_substitute(m, binds, clashes):
+def _eager_substitute(m, x, n, clashes):
     """substitute with its avoid set built up front, the reference for the
     lazy one; each renamed binder is appended to clashes."""
-    avoid = set(all_names(m))
-    for n in binds.values():
-        avoid |= all_names(n)
+    avoid = set(all_names(m)) | all_names(n)
 
     def go(m, binds, avoid):
         live = {k: n for k, n in binds.items() if m._fv.get(k.name) == k.idx}
@@ -452,7 +450,7 @@ def _eager_substitute(m, binds, clashes):
                     return Abs(f, idx, go(body, live, avoid))
                 return Abs(var, idx, go(body, live, avoid))
 
-    return go(m, binds, avoid)
+    return go(m, {x: n}, avoid)
 
 
 _CLASHES = [
@@ -481,20 +479,19 @@ def test_substitute_matches_the_eager_reference(enum6, criterion3_terms, monkeyp
         syntax, "all_names", lambda m: collected.append(m) or all_names(m)
     )
     cases = [
-        (parse_term(m), {VarKey("x", ()): parse_term(n)}, want)
-        for m, n, want in _CLASHES
+        (parse_term(m), VarKey("x", ()), parse_term(n), want) for m, n, want in _CLASHES
     ]
     cases += [
-        (t.fun.body, {VarKey(t.fun.var, t.fun.idx): t.arg}, None)
+        (t.fun.body, VarKey(t.fun.var, t.fun.idx), t.arg, None)
         for t in _nodes(enum6 + criterion3_terms)
         if is_beta_redex(t)
     ]
     renamed = 0
-    for m, binds, want in cases:
+    for m, x, n, want in cases:
         clashes = []
-        ref = _eager_substitute(m, binds, clashes)
+        ref = _eager_substitute(m, x, n, clashes)
         del collected[:]
-        out = substitute(m, binds)
+        out = substitute(m, x, n)
         assert out == ref, print_term(m)
         assert bool(collected) == bool(clashes), print_term(m)
         assert want is None or print_term(out) == want

@@ -169,7 +169,7 @@ def test_subst_derivation_renames_like_term_substitution(dm, dn, want):
     x = VarKey("x", ())
     out = check_derivation(subst_derivation(dm, x, dn)).subject
     jm, jn = check_derivation(dm), check_derivation(dn)
-    assert out == substitute(jm.subject, {x: jn.subject})
+    assert out == substitute(jm.subject, x, jn.subject)
     assert print_term(out) == want
 
 
