@@ -365,13 +365,15 @@ def var_intro(name: str, typ: CanonType, term: Term | None = None) -> Derivation
     if typ.is_omega():
         v = Var(name, k)
         return OmegaRule(term if term == v else v)
-    chains = []
-    for comp in typ.comps:
-        d: Derivation = Ax(name, comp, term)
-        for j in reversed(k):
-            d = ExpRule(j, d, term)
-        chains.append(d)
-    return reduce(meet, chains)
+    return reduce(meet, (exp_chain(Ax(name, comp, term), k, term) for comp in typ.comps))
+
+
+def exp_chain(d: Derivation, k: Index, term: Term | None = None) -> Derivation:
+    """(exp) over d once per entry of k, the last entry innermost: d's
+    subject lifted by k.  The outermost node is handed term."""
+    for j in reversed(k[1:]):
+        d = ExpRule(j, d)
+    return ExpRule(k[0], d, term) if k else d
 
 
 def elaborate(d: Derivation) -> Derivation:

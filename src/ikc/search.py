@@ -40,9 +40,9 @@ term that grows along its leftmost path.
 
 The derivations share the subjects the search holds: each rule node is
 handed the term of its goal (an abstraction, an application of the spine,
-the head variable), and the exp chain that rebuilds a degree-K goal ends at
-the goal's own term, so a Found concludes at the very subject it was
-asked about whenever the memo answered no subgoal with an equal copy.
+the head variable), and the exp chain (derivations.exp_chain) that rebuilds
+a degree-K goal ends at the goal's own term, so a Found concludes at the very
+subject it was asked about unless the memo answered a subgoal with a copy.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ from .derivations import (
     ArrIW,
     Ax,
     Derivation,
-    ExpRule,
     InterI,
     OmegaRule,
+    exp_chain,
     sub_to,
 )
 from .reduction import LeftmostBeta
@@ -176,7 +176,7 @@ def bounded_typecheck(
     k = u.degree
     out = _Searcher(fuel).solve(lower(m, k), env_lower(g, k), lower_type(u, k), k)
     if isinstance(out, Found):
-        out = Found(sub_to(_expand_to(m, k, out.derivation), g, u))
+        out = Found(sub_to(exp_chain(out.derivation, k, m), g, u))
         assert out.derivation.judgment == Judgment(m, g, u), out.derivation.judgment
     return out
 
@@ -234,7 +234,7 @@ class _Searcher:
             # type the subject lowered to degree [] and factor through (e)
             low = self.goal(lower(m, k), env_lower(g, k), lower_type(u, k))
             if isinstance(low, Found):
-                return Found(_expand_to(m, k, low.derivation))
+                return Found(exp_chain(low.derivation, k, m))
             return low
 
         if isinstance(m, Abs):
@@ -312,16 +312,6 @@ class _Searcher:
                     + (f" through the arguments of {print_term(m)}" if args else "")
                 )
         return Found(reduce(InterI, pieces))
-
-
-def _expand_to(m: Term, k: Index, d: Derivation) -> Derivation:
-    """The exp chain over d, which derives m lowered by k, that concludes
-    at m itself: the last node is handed m."""
-    if not k:
-        return d
-    for j in reversed(k[1:]):
-        d = ExpRule(j, d)
-    return ExpRule(k[0], d, m)
 
 
 def _unfold(c: CanonT, args: list[Term]) -> tuple[list[CanonType], CanonT] | None:

@@ -6,9 +6,9 @@ of any script that int() reads; identifiers start with a letter, '_', '-',
 '>' or '^' (so "->" and "^" are atoms) and go on with those, ASCII digits and
 "'".  Any other character is an error, reported before any structural fault.
 
-The reader scans the token texts with one findall and tells their kinds
-apart by their first character; offsets are computed only for an error
-message, by tokenize, which returns (kind, text, offset) tuples, kind being
+One pattern (_SCAN) scans the token texts; the reader and tokenize tell
+their kinds apart by the first character.  tokenize computes offsets, only
+for an error message: it returns (kind, text, offset) tuples, kind being
 '(' ')' '[' ']' "nat" or "ident", and raises on the first bad character.
 
 The reader keeps open lists on an explicit stack, so nesting costs no
@@ -26,11 +26,8 @@ from .errors import InputSyntaxError
 _PUNCT = r"[()\[\]]"
 _NAT = r"\d+"
 _IDENT = r"[A-Za-z_\->^][A-Za-z0-9_'\->^]*"
-_TOKEN = re.compile(
-    rf"[\s,]+|(?P<p>{_PUNCT})|(?P<nat>{_NAT})|(?P<ident>{_IDENT})|(?P<bad>.)", re.DOTALL
-)
-# the same tokens as _TOKEN, as bare texts: a bad character is a token of
-# its own, which no branch of the reader accepts
+# the token texts: a bad character is a token of its own, which no branch of
+# the reader accepts
 _SCAN = re.compile(rf"{_PUNCT}|{_NAT}|{_IDENT}|[^\s,]")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_->^")
 
@@ -39,14 +36,16 @@ Node = object
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
+    for m in _SCAN.finditer(text):
         tok = m.group()
-        if kind == "p":
+        c = tok[0]
+        if c in "()[]":
             kind = tok
-        elif kind == "bad":
+        elif c.isdecimal():
+            kind = "nat"
+        elif c in _IDENT_START:
+            kind = "ident"
+        else:
             raise InputSyntaxError(f"unexpected character {tok!r} at offset {m.start()}")
         toks.append((kind, tok, m.start()))
     return toks

@@ -37,10 +37,12 @@ skips a redex-free subtree without walking it, needs no recursion, and
 answers on a normal form in O(1).  A variable contains no redex, so Var's
 mask is the class constant 0.
 
-lift and lower map every Index by one explicit-stack walk; lower strips a
-whole prefix, like types.lower_type.  is_lift decides n == lift(m, i) by one
-walk that builds no term, so a rule node that is handed its subject checks
-it instead of lifting.  alpha_canon is read back from alpha_key, whose one
+_fold is the one bottom-up explicit-stack walk over a term, with a builder
+per node kind: lift and lower (through _reindex, which maps every Index;
+lower strips a whole prefix, like types.lower_type), all_names and
+_fv_order are calls of it.  is_lift decides n == lift(m, i) by one walk
+that builds no term, so a rule node that is handed its subject checks it
+instead of lifting.  alpha_canon is read back from alpha_key, whose one
 walk numbers the binders.  print_term is an explicit-stack walk too, so a
 term of any depth prints.  substitute takes one binding, all that beta
 contraction and the substitution lemma need; its one walk, which recurses
@@ -223,40 +225,52 @@ def _merged(fun: "Term", arg: "Term") -> dict[str, Index]:
     return fv
 
 
+def _fold(m: "Term", var, abs_, app):
+    """m folded bottom-up by one explicit-stack walk: var(t) at a variable,
+    abs_(t, b) at an abstraction whose body gave b, and app(t, f, a) at an
+    application whose parts gave f and a."""
+    built: list = []
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            built.append(var(t))
+        elif cls is Abs:
+            stack += ((t,), t.body)
+        elif cls is App:
+            stack += ((t,), t.arg, t.fun)
+        else:  # (t,): the values of t's parts are on top of built
+            t = t[0]
+            if t.__class__ is Abs:
+                built.append(abs_(t, built.pop()))
+            else:
+                a = built.pop()
+                built.append(app(t, built.pop(), a))
+    return built[0]
+
+
 def _fv_order(m: "Term") -> list[str]:
     """The free names of m in one fixed order, which the error texts follow
     whatever order the table's map holds: a variable's name; an abstraction's
     body order less its binder; for an application, the order of a part
     whose map holds the other's (the function's on a tie), else the
     function's order followed by the argument's names the function lacks.
-    One explicit-stack walk, run only to name a clash."""
-    built: list[list[str]] = []
-    stack: list = [m]
-    while stack:
-        t = stack.pop()
-        cls = t.__class__
-        if cls is Var:
-            built.append([t.name])
-        elif cls is Abs:
-            stack += ((t,), t.body)
-        elif cls is App:
-            stack += ((t,), t.arg, t.fun)
-        else:  # (t,): the orders of t's parts are on top of built
-            t = t[0]
-            if t.__class__ is Abs:
-                if t.body._fv.get(t.var) == t.idx:
-                    built[-1].remove(t.var)
-                continue
-            a = built.pop()
-            f = built[-1]
-            ffv, afv = t.fun._fv, t.arg._fv
-            if len(ffv) >= len(afv) and afv.items() <= ffv.items():
-                continue
-            if len(ffv) < len(afv) and ffv.items() <= afv.items():
-                built[-1] = a
-            else:
-                f += [n for n in a if n not in ffv]
-    return built[0]
+    One fold, run only to name a clash."""
+    def abs_(t: Abs, order: list[str]) -> list[str]:
+        if t.body._fv.get(t.var) == t.idx:
+            order.remove(t.var)
+        return order
+
+    def app(t: App, f: list[str], a: list[str]) -> list[str]:
+        ffv, afv = t.fun._fv, t.arg._fv
+        if len(ffv) >= len(afv) and afv.items() <= ffv.items():
+            return f
+        if len(ffv) < len(afv) and ffv.items() <= afv.items():
+            return a
+        return f + [n for n in a if n not in ffv]
+
+    return _fold(m, lambda t: [t.name], abs_, app)
 
 
 Term = Union[Var, Abs, App]
@@ -288,19 +302,9 @@ def free_vars(m: Term) -> frozenset[VarKey]:
 
 
 def all_names(m: Term) -> frozenset[str]:
-    """Every variable name in m, free or bound."""
-    names = set()
-    stack = [m]
-    while stack:
-        t = stack.pop()
-        match t:
-            case Var(name, _):
-                names.add(name)
-            case Abs(var, _, body):
-                names.add(var)
-                stack.append(body)
-            case App(fun, arg):
-                stack += (fun, arg)
+    """Every variable name in m, free or bound, gathered by one fold."""
+    names: set[str] = set()
+    _fold(m, lambda t: names.add(t.name), lambda t, _: names.add(t.var), lambda t, f, a: None)
     return frozenset(names)
 
 
@@ -503,27 +507,14 @@ def is_lift(n: Term, m: Term, i: int) -> bool:
 
 def _reindex(m: Term, head: Index, cut: int) -> Term:
     """m with every Index idx replaced by head + idx[cut:], rebuilt by one
-    explicit-stack walk.  Every Index in m extends d(m), so cutting d(m)'s
-    first entries cuts the same entries everywhere."""
-    built: list[Term] = []
-    stack: list = [m]
-    while stack:
-        t = stack.pop()
-        cls = t.__class__
-        if cls is Var:
-            built.append(Var(t.name, head + t.idx[cut:]))
-        elif cls is Abs:
-            stack += ((t,), t.body)
-        elif cls is App:
-            stack += ((t,), t.arg, t.fun)
-        else:  # (t,): t's rebuilt parts are on top of built
-            t = t[0]
-            if t.__class__ is Abs:
-                built.append(Abs(t.var, head + t.idx[cut:], built.pop()))
-            else:
-                arg = built.pop()
-                built.append(App(built.pop(), arg))
-    return built[0]
+    fold.  Every Index in m extends d(m), so cutting d(m)'s first entries
+    cuts the same entries everywhere."""
+    return _fold(
+        m,
+        lambda t: Var(t.name, head + t.idx[cut:]),
+        lambda t, body: Abs(t.var, head + t.idx[cut:], body),
+        lambda t, fun, arg: App(fun, arg),
+    )
 
 
 # ---------------------------------------------------------------- alpha

@@ -246,15 +246,12 @@ def print_comp(t: CanonT) -> str:
     raise AssertionError(t)
 
 
-def _print_body(comps: tuple[CanonT, ...]) -> str:
-    if len(comps) == 1:
-        return print_comp(comps[0])
-    return f"(^ {print_comp(comps[0])} {_print_body(comps[1:])})"
-
-
 def print_type(u: CanonType) -> str:
-    body = f"(w {index_str(u.prefix)})" if not u.comps else _print_body(u.comps)
-    if u.comps:
-        for i in reversed(u.prefix):
-            body = f"(e {i} {body})"
+    if not u.comps:
+        return f"(w {index_str(u.prefix)})"
+    body = print_comp(u.comps[-1])
+    for t in reversed(u.comps[:-1]):
+        body = f"(^ {print_comp(t)} {body})"
+    for i in reversed(u.prefix):
+        body = f"(e {i} {body})"
     return body

@@ -42,6 +42,17 @@ def test_nf(capsys):
     assert "(lam y [] y[])" in out
 
 
+def test_nf_reaching_the_normal_form_on_its_last_fuel_unit(capsys):
+    got = run(capsys, "nf", "--fuel", "1", "(app (lam x [] x[]) y[])")
+    assert got == (0, "y[]\tnormal\t1 steps\n", "")
+
+
+def test_equiv_falls_back_to_the_normal_forms(capsys):
+    # the two walks spend fuel 2 without meeting; both normal forms are x[]
+    term = "(app (lam x [] x[]) (app (lam x [1] x[]) y[1]))"
+    assert run(capsys, "equiv", "--fuel", "2", term, "x[]") == (0, "Equivalent\n", "")
+
+
 def test_equiv_eta_pair(capsys):
     code, out, _ = run(
         capsys,

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ikc import sexpr
 from ikc.errors import DegreeError, InputSyntaxError
+from ikc.envs import parse_env, parse_judgment
 from ikc.syntax import Var, parse_term
 from ikc.types import parse_type
 
@@ -62,6 +63,32 @@ def test_read_returns_every_top_level_node():
 def test_reader_error_texts(text, message):
     with pytest.raises(InputSyntaxError) as e:
         sexpr.read_one(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_term, "x", "variable 'x' must be followed by an index"),
+        (parse_term, "5", "expected a term, got 5"),
+        (parse_term, "()", "expected (lam ...) or (app ...)"),
+        (parse_term, "(lam x [] y[] z[])", "lam has trailing items after its body"),
+        (parse_term, "(app f[] x[] y[])", "app has trailing items after its argument"),
+        (parse_term, "(foo)", "unknown term head 'foo'"),
+        (parse_type, "()", "expected a type form"),
+        (parse_type, "(foo a)", "unknown type head 'foo'"),
+        (parse_type, "5", "expected a type, got 5"),
+        (parse_env, "a", "expected an environment ((name index type) ...)"),
+        (parse_env, "((x a))", "environment entries are (name index type)"),
+        (parse_judgment, "(foo)", "expected (judg term env type)"),
+        (parse_judgment, "(judg x[] ())", "judg needs exactly a term, an environment and a type"),
+    ],
+)
+def test_form_error_texts(parse, text, message):
+    # text that reads as s-expressions but is no term, type, environment
+    # or judgment
+    with pytest.raises(InputSyntaxError) as e:
+        parse(text)
     assert str(e.value) == message
 
 

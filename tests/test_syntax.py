@@ -173,6 +173,8 @@ def test_copies_hold_the_tables_map():
         ("(app (app x[] y[]) (app y[1] (app x[1] y[1])))", "x"),
         ("(app (app x[] y[]) (app (app x[1] y[1]) y[1]))", "x"),
         ("(app (app (app x[] y[]) z[]) (lam w [] (app (app z[] y[1]) x[1])))", "y"),
+        # the argument's binder x[1] is not one of its free names
+        ("(app (app x[] y[]) (app (lam x [1] (app x[1] y[1])) x[1]))", "y"),
     ],
 )
 def test_joinability_error_on_two_names_is_unchanged(text, name):

@@ -10,6 +10,8 @@ from linear_time import assert_linear_build
 
 from ikc.errors import InputSyntaxError, ShapeError
 from ikc.gen import enumerate_canon_types, random_canon_type
+from ikc.props import subtype_oracle_disagreements
+from ikc.rulesearch import closure_universe
 from ikc.types import (
     CanonType,
     CArrow,
@@ -251,3 +253,23 @@ def test_deep_type_builds_in_linear_time():
     while isinstance(t, CArrow):
         depth, t = depth + 1, t.res
     assert depth == 2000
+
+
+def test_subtype_agrees_with_the_oracle_where_every_rule_fires():
+    # criterion 5's family never needs the oracle's strip or meet rule; here
+    # (e 0 (-> a a)) <= (e 0 (-> (^ a b) a)) needs strip, and (-> a a) below
+    # the two-arrow intersection needs meet, so a subtype that ignores arrows
+    # under an expansion prefix, or that has no meet, disagrees
+    universe = closure_universe(
+        [
+            parse_type(t)
+            for t in (
+                "(e 0 (-> a a))",
+                "(e 0 (-> (^ a b) a))",
+                "(-> a a)",
+                "(^ (-> (^ a b) a) (-> (^ a (-> a a)) a))",
+            )
+        ]
+    )
+    assert len(universe) == 12
+    assert subtype_oracle_disagreements(universe) == []

@@ -7,6 +7,8 @@ The snapshot holds, with the machine facts:
 - tier-1: the test suite's wall time, its pass/fail counts, the tests
   that failed and every test's duration (setup, call and teardown, from pytest's JUnit report),
   the acceptance criteria's among them;
+- code_lines: the line counts of src/ikc/*.py and tests/*.py, each in
+  total and per file, so a snapshot records the code's size too;
 - the workloads of BENCHMARK.json, each run once by its command for its
   run_seconds at seed 1, at --trace 0 (end-to-end metrics) and at
   --trace 1 (per-layer metrics), with the facts each run printed.
@@ -98,6 +100,15 @@ def tier1() -> dict:
     }
 
 
+def code_lines() -> dict:
+    """The line counts (as wc -l counts) of the kernel and the tests."""
+    counts = {}
+    for pattern in ("src/ikc/*.py", "tests/*.py"):
+        files = {p.name: p.read_bytes().count(b"\n") for p in sorted(ROOT.glob(pattern))}
+        counts[pattern] = {"total": sum(files.values()), "files": files}
+    return counts
+
+
 SEED = 1  # one seed for every snapshot, so any two compare
 
 
@@ -125,6 +136,7 @@ def main(argv=None) -> int:
         "machine": machine_facts(),
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tier1": tier1(),
+        "code_lines": code_lines(),
         "workloads": {},
     }
     for w in spec["workloads"]:
