@@ -182,6 +182,36 @@ def test_failed_transports_print_one_line_and_exit_one(capsys, tmp_path, argv, o
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "deriv, term, code, out",
+    [
+        (
+            "(arrE (arrI x [] a (ax' x a)) (arrE (arrI y [] a (ax' y a)) (ax' z a)))",
+            "z[]",
+            0,
+            "(judg z[] ((z [] a)) a)\n",
+        ),
+        (
+            "(arrE (arrI x [] a (ax' x a)) (arrE (arrI y [] a (ax' y a)) (ax' z a)))",
+            "(app (lam x [] x[]) z[])",
+            1,
+            "failed\t(app (lam x [] x[]) z[]) is an alpha-variant of"
+            " (app (lam y [] y[]) z[]), not a h-reduct of"
+            " (app (lam x [] x[]) (app (lam y [] y[]) z[]))\n",
+        ),
+        (
+            "(arrE (ax' z (-> a a)) (arrE (arrI y [] a (ax' y a)) (ax' w a)))",
+            "(app z[] w[])",
+            1,
+            "failed\t(app z[] w[]) is not a h-reduct of (app z[] (app (lam y [] y[]) w[]))\n",
+        ),
+    ],
+    ids=["head-steps", "off-head-step", "no-head-redex"],
+)
+def test_sr_head_transport_ignores_a_redex_off_the_head(capsys, deriv, term, code, out):
+    assert run(capsys, "sr", deriv, "--rel", "h", "--", term) == (code, out, "")
+
+
 def test_sr_renames_under_an_omega_rule_like_the_reduct(capsys):
     deriv = (
         "(arrE (arrI x [] (-> a b) (arrE (arrIW y [] (arrIW _r0 [] (ax x (-> a b))))"

@@ -271,6 +271,46 @@ def test_subject_reduce_fuel_counts_the_steps_it_tries():
     assert print_derivation(out) == "(arrI x [] a (ax x a))"
 
 
+def test_subject_reduce_takes_the_breadth_first_trail(monkeypatch):
+    # both step orders reach the target; the leftmost redex goes first
+    contracted = []
+
+    def contract(d, reduct):
+        contracted.append(print_term(d.judgment.subject))
+        return contract_beta(d, reduct)
+
+    contract_beta = transform._contract_beta
+    monkeypatch.setattr(transform, "_contract_beta", contract)
+    d = parse_derivation(
+        "(arrE (arrE (arrI x [] (-> a b) (ax' x (-> a b))) (ax' f (-> a b)))"
+        " (arrE (arrI y [] a (ax' y a)) (ax' z a)))"
+    )
+    out = subject_reduce(d, parse_term("(app f[] z[])"), Relation.BETA)
+    assert print_derivation(out) == "(arrE (ax f (-> a b)) (ax z a))"
+    assert contracted == ["(app (lam x [] x[]) f[])", "(app (lam y [] y[]) z[])"]
+
+
+def test_subject_reduce_stops_where_a_term_reduces_to_itself(monkeypatch):
+    # Omega's one reduct is Omega: the search keys the source before that
+    # reduct, so it tries one step and gives up
+    from ikc import reduction
+
+    contractions = []
+
+    def contract(m):
+        contractions.append(m)
+        return beta_contract(m)
+
+    beta_contract = reduction.beta_contract
+    monkeypatch.setattr(reduction, "beta_contract", contract)
+    omega = "(app (lam x [] (app x[] x[])) (lam x [] (app x[] x[])))"
+    d = parse_derivation(f"(w {omega})")
+    with pytest.raises(NotAReductError) as info:
+        subject_reduce(d, parse_term("y[]"), Relation.BETA)
+    assert str(info.value) == f"y[] is not a beta-reduct of {omega}"
+    assert len(contractions) == 1
+
+
 def test_subject_reduce_under_expansion():
     d = parse_derivation("(exp 1 (arrE (arrI x [] a (ax' x a)) (ax' y a)))")
     out = subject_reduce(d, parse_term("y[1]"), Relation.BETA)
