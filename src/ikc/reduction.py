@@ -14,9 +14,11 @@ Step enumeration reads the redex mask each term node stores (see syntax): it
 is one explicit-stack walk that enters only the subtrees containing a redex
 of the requested kind, so no walk recurses in step enumeration, whatever the
 depth of the term, and first_step, step_positions, LeftmostBeta and
-check_local_confluence answer in O(1) on a normal form; the confluence
-checker tests the mask first (h the beta bit: a head step is a beta step),
-so a redex-free query makes no step list, set or alpha key.
+check_local_confluence answer in O(1) on a normal form.  iter_steps gives
+the steps of step_positions lazily, for the transports' search, which
+stops at its first hit, so a reduct it never tries is never built.  The
+confluence checker tests the mask first (h the beta bit: a head step is a
+beta step), so a redex-free query makes no step list, set or alpha key.
 
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
@@ -160,6 +162,14 @@ def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
         hit = first_step(m, r)
         return [hit] if hit else []
     return list(_tagged(m, _KINDS[r]))
+
+
+def iter_steps(m: Term, r: Relation) -> Iterator[tuple[str, Path, Term]]:
+    """step_positions(m, r), lazily: a reduct is built when its step is
+    pulled.  h has at most one step, which step_positions finds."""
+    if r is Relation.H:
+        return iter(step_positions(m, r))
+    return _tagged(m, _KINDS[r])
 
 
 def _keyed_steps(m: Term, r: Relation) -> list[tuple[tuple, Term]]:

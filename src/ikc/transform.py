@@ -24,17 +24,21 @@ rebuilds none of them.
 
 lower_derivation also takes the ax' and interI' macros as they are.  Both
 transports find their steps by one breadth-first search, _find_reduction,
-which maps each term it reaches to the trail that first reached it (where
-a failed subject_reduce looks for an alpha-variant of its target), and
-take each step through one walker, _rewrite, which rebuilds the omega,
-interI, sub and exp nodes and the congruences along the step's path alike
-in either direction; only the action at the redex differs.  A rebuilt
-node's environment is its old one padded (env_pad) to the free variables of
-its new subject.  A beta contraction asks _abs_premise for the abstraction's
-premise at the one arrow component the application uses; an expansion,
-_expand_redex, is handed an ax, arrI, arrIW or arrE node at degree [], since
-_rewrite has peeled the rest, and un-substitutes the contractum under one
-arrE over arrI or arrIW.
+which pulls each term's steps one at a time (reduction.iter_steps builds a
+reduct only when its step is pulled), compares each reduct with the target
+before it keys it, and keys every other reduct by one dict.setdefault, so
+no reduct is hashed twice and the target never is.  The map of the terms
+it reached, the source first, is where a failed transport looks for an
+alpha-variant of its target.  Both transports take each step through one
+walker, _rewrite, which rebuilds the omega, interI, sub and exp nodes and
+the congruences along the step's path alike in either direction; only the
+action at the redex differs.  A rebuilt node's environment is its old one
+padded (env_pad) to the free variables of its new subject.  A beta
+contraction asks _abs_premise for the abstraction's premise at the one
+arrow component the application uses; an expansion, _expand_redex, is
+handed an ax, arrI, arrIW or arrE node at degree [], since _rewrite has
+peeled the rest, and un-substitutes the contractum under one arrE over arrI
+or arrIW.
 """
 
 from __future__ import annotations
@@ -91,9 +95,10 @@ from .derivations import (
     sub_to,
     var_intro,
 )
-from .reduction import Relation, step_positions
+from .reduction import Relation, iter_steps
 
 Path = tuple[str, ...]
+Trail = tuple[tuple[str, Path, Term], ...]  # (kind, path, reduct) steps
 
 
 # ---------------------------------------------------------------- lowering
@@ -350,11 +355,9 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
     """
     d = elaborate(d)
     j = d.judgment
-    trails = _find_reduction(j.subject, n, r, fuel)
-    trail = trails.get(n)
+    trail, reached = _find_reduction(j.subject, n, r, fuel)
     if trail is None:
-        key = alpha_key(n)
-        hit = next((t for t in trails if alpha_key(t) == key), None)
+        hit = _alpha_variant(reached, n)
         what = "not" if hit is None else f"an alpha-variant of {print_term(hit)}, not"
         raise NotAReductError(
             f"{print_term(n)} is {what} a {r.value}-reduct of {print_term(j.subject)}"
@@ -366,28 +369,40 @@ def subject_reduce(d: Derivation, n: Term, r: Relation, fuel: int = 10000) -> De
 
 def _find_reduction(
     m: Term, n: Term, r: Relation, fuel: int
-) -> dict[Term, tuple[tuple[str, Path, Term], ...]]:
+) -> tuple[Trail | None, dict[Term, Trail]]:
     """BFS for a step sequence m ->>_r n, as (kind, path, reduct) steps.
 
-    Returns the map from each term reached, m first, to the trail that
-    first reached it; the search stops once it reaches n, or after fuel
-    steps, so n is a key exactly when it was found."""
-    trails = {m: ()}
-    front = [] if m == n else [m]
-    while front and fuel > 0:
+    Returns (trail, reached).  trail is the first trail found to n, or None
+    when fuel steps, each step tried counting one, found none; then reached
+    maps every term reached, m first, to the trail that first reached it.
+    m enters reached just before the first reduct does, so a trail of one
+    step hashes no term, and a reduct equal to m is not stepped again."""
+    if m == n:
+        return (), {}
+    reached: dict[Term, Trail] = {}
+    front: list[tuple[Term, Trail]] = [(m, ())] if fuel > 0 else []
+    while front:
         nxt = []
-        for t in front:
-            for kind, path, reduct in step_positions(t, r):
-                if reduct not in trails:
-                    trails[reduct] = trails[t] + ((kind, path, reduct),)
-                    if reduct == n:
-                        return trails
-                    nxt.append(reduct)
+        for t, trail in front:
+            for kind, path, reduct in iter_steps(t, r):
                 fuel -= 1
-                if fuel == 0:
-                    return trails
+                longer = trail + ((kind, path, reduct),)
+                if reduct == n:
+                    return longer, reached
+                if not reached:
+                    reached[m] = ()
+                if reached.setdefault(reduct, longer) is longer:
+                    nxt.append((reduct, longer))
+                if not fuel:
+                    return None, reached
         front = nxt
-    return trails
+    return None, reached or {m: ()}
+
+
+def _alpha_variant(reached: dict[Term, Trail], t: Term) -> Term | None:
+    """The first term of reached that is an alpha-variant of t, or None."""
+    key = alpha_key(t)
+    return next((u for u in reached if alpha_key(u) == key), None)
 
 
 def _contract_beta(d: Derivation, reduct: Term) -> Derivation:
@@ -420,15 +435,20 @@ def subject_expand_beta(d: Derivation, m: Term, fuel: int = 10000) -> Derivation
     The result types m at the original type; the environment is the original
     one enlarged with omega bindings for the free variables the reduction had
     discarded.  NotAnExpansionError when m does not beta-reduce to the
-    subject within fuel steps.
+    subject within fuel steps, naming the term reached if m reduces only to
+    an alpha-variant of the subject.
     """
     d = elaborate(d)
     j = d.judgment
-    trail = _find_reduction(m, j.subject, Relation.BETA, fuel).get(j.subject)
+    trail, reached = _find_reduction(m, j.subject, Relation.BETA, fuel)
     if trail is None:
-        raise NotAnExpansionError(
-            f"{print_term(m)} does not beta-reduce to {print_term(j.subject)}"
-        )
+        hit = _alpha_variant(reached, j.subject)
+        v = print_term(j.subject)
+        if hit is None:
+            what = "does not beta-reduce to"
+        else:
+            what = f"beta-reduces to {print_term(hit)}, an alpha-variant of {v}, not to"
+        raise NotAnExpansionError(f"{print_term(m)} {what} {v}")
     sources = [m] + [reduct for _, _, reduct in trail[:-1]]
     return expand_along(d, [(src, path) for src, (_, path, _) in zip(sources, trail)])
 

@@ -174,6 +174,20 @@ def test_transports_write_a_certificate_that_checks(
             "failed\t(lam z [] z[]) is an alpha-variant of (lam y [] y[]),"
             " not a betaeta-reduct of (lam y [] y[])\n",
         ),
+        (
+            ["expand", str(CORPUS / "id0.drv"), "--", "(lam z [] z[])"],
+            "failed\t(lam z [] z[]) beta-reduces to (lam z [] z[]),"
+            " an alpha-variant of (lam y [] y[]), not to (lam y [] y[])\n",
+        ),
+        (
+            ["expand", str(CORPUS / "id0.drv"), "--", "(app (lam f [] f[]) (lam z [] z[]))"],
+            "failed\t(app (lam f [] f[]) (lam z [] z[])) beta-reduces to (lam z [] z[]),"
+            " an alpha-variant of (lam y [] y[]), not to (lam y [] y[])\n",
+        ),
+        (
+            ["expand", str(CORPUS / "id0.drv"), "--", "(lam y [] (app y[] y[]))"],
+            "failed\t(lam y [] (app y[] y[])) does not beta-reduce to (lam y [] y[])\n",
+        ),
     ],
 )
 def test_failed_transports_print_one_line_and_exit_one(capsys, tmp_path, argv, out):
