@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import chain, combinations, product
 
 from .syntax import (
     Abs,
@@ -122,57 +123,25 @@ def enumerate_canon_types(max_depth: int) -> list[CanonType]:
     Intersections are kept to at most two components, so the universe stays
     finite and small.
     """
-    comps_at: dict[int, list[CanonT]] = {0: []}
-    types_at: dict[int, list[CanonType]] = {0: []}
-
-    def comps_upto(d: int) -> list[CanonT]:
-        return [c for k in range(d + 1) for c in comps_at.get(k, [])]
-
-    def types_upto(d: int) -> list[CanonType]:
-        return [t for k in range(d + 1) for t in types_at.get(k, [])]
-
+    comps_at: list[list[CanonT]] = [[]]  # the components built at each depth
+    out: list[CanonType] = []
     for d in range(1, max_depth + 1):
-        layer_c: list[CanonT] = []
-        if d == 1:
-            layer_c.extend(CAtom(a) for a in _ATOMS)
-        for arg in types_upto(d - 1):
-            for res in comps_upto(d - 1):
-                layer_c.append(CArrow(arg, res))
-        comps_at[d] = layer_c
-
-        seen: set[CanonType] = set()
-        layer_t: list[CanonType] = []
-
-        def emit(t: CanonType) -> None:
-            if t not in seen:
-                seen.add(t)
-                layer_t.append(t)
-
-        for plen in range(0, d + 1):
+        comps_at.append(
+            [CAtom(a) for a in _ATOMS if d == 1]
+            + [CArrow(arg, res) for arg in out for res in chain(*comps_at)]
+        )
+        layer: list[CanonType] = []
+        for plen in range(d + 1):
             inner = d - plen
-            prefixes = _prefixes(plen)
-            for prefix in prefixes:
-                if inner == 0:
-                    emit(CT(prefix, ()))
-                    continue
-                for c in comps_at.get(inner, []):
-                    emit(CT(prefix, (c,)))
-                pool = comps_upto(inner - 1)
-                for i, c1 in enumerate(pool):
-                    for c2 in pool[i + 1:]:
-                        emit(mk_canon(prefix, (c1, c2)))
-        types_at[d] = [
-            t for t in layer_t if t not in set(types_upto(d - 1))
-        ]
-
-    return types_upto(max_depth)
-
-
-def _prefixes(length: int) -> list[Index]:
-    out: list[Index] = [()]
-    for _ in range(length):
-        out = [p + (h,) for p in out for h in _HEADS]
-    return [p for p in out if len(p) == length]
+            pool = list(chain(*comps_at[:inner]))
+            for prefix in product(_HEADS, repeat=plen):
+                if not inner:
+                    layer.append(CT(prefix, ()))
+                layer += [CT(prefix, (c,)) for c in comps_at[inner]]
+                layer += [mk_canon(prefix, pair) for pair in combinations(pool, 2)]
+        earlier = set(out)
+        out += [t for t in dict.fromkeys(layer) if t not in earlier]
+    return out
 
 
 def random_canon_type(rng: random.Random, depth: int) -> CanonType:

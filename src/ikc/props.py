@@ -79,11 +79,8 @@ def prop_lift_step_commute(size: int, seed: int) -> PropResult:
     for m in pool:
         up = lift(m, 1)
         for r in Relation:
-            lifted = sorted(
-                str(lift(reduct, 1)) for _, _, reduct in step_positions(m, r)
-            )
-            ups = sorted(str(reduct) for _, _, reduct in step_positions(up, r))
-            if lifted != ups:
+            lifted = [lift(reduct, 1) for _, _, reduct in step_positions(m, r)]
+            if lifted != [reduct for _, _, reduct in step_positions(up, r)]:
                 bad.append((r.value, m))
     pairs = len(pool) * len(Relation)
     return _result("lift-step-commute", bad, f"{pairs} term/relation pairs")
@@ -182,10 +179,10 @@ SUITES = {
 
 
 def run_suites(names: list[str], size: int, seed: int) -> list[PropResult]:
+    """Run the named suites, or all; KeyError names the first unknown one,
+    before any suite runs."""
     picked = names or sorted(SUITES)
-    out = []
     for name in picked:
         if name not in SUITES:
             raise KeyError(name)
-        out.append(SUITES[name](size, seed))
-    return out
+    return [SUITES[name](size, seed) for name in picked]

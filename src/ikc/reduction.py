@@ -13,12 +13,13 @@ term, so a violation would surface as a loud formation error.
 Step enumeration reads the redex mask each term node stores (see syntax): it
 is one explicit-stack walk that enters only the subtrees containing a redex
 of the requested kind, so no walk recurses in step enumeration, whatever the
-depth of the term, and first_step, step_positions, LeftmostBeta and
-check_local_confluence answer in O(1) on a normal form.  iter_steps gives
-the steps of step_positions lazily, for the transports' search, which
-stops at its first hit, so a reduct it never tries is never built.  The
-confluence checker tests the mask first (h the beta bit: a head step is a
-beta step), so a redex-free query makes no step list, set or alpha key.
+depth of the term, and first_step, iter_steps, LeftmostBeta and
+check_local_confluence answer in O(1) on a normal form.  iter_steps is the
+one step entry point, lazy so that the transports' search, which stops at
+its first hit, never builds a reduct it does not try; step_positions is
+its list.  The confluence checker tests the mask first (h the beta bit: a
+head step is a beta step), so a redex-free query makes no step list, set or
+alpha key.
 
 step deduplicates reducts up to alpha by syntax.alpha_key, a flat name-free
 tuple; equiv and the confluence checker carry each term's key with it, so no
@@ -156,27 +157,25 @@ def first_step(m: Term, r: Relation) -> tuple[str, Path, Term] | None:
         t = getattr(t, way)
 
 
-def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
-    """(kind, path, reduct) triples in leftmost-outermost order, no dedup."""
-    if r is Relation.H:
-        hit = first_step(m, r)
-        return [hit] if hit else []
-    return list(_tagged(m, _KINDS[r]))
-
-
 def iter_steps(m: Term, r: Relation) -> Iterator[tuple[str, Path, Term]]:
-    """step_positions(m, r), lazily: a reduct is built when its step is
-    pulled.  h has at most one step, which step_positions finds."""
+    """(kind, path, reduct) triples in leftmost-outermost order, no dedup,
+    lazily: a reduct is built when its step is pulled.  h has at most one
+    step, which first_step finds."""
     if r is Relation.H:
-        return iter(step_positions(m, r))
+        return iter((hit,) if (hit := first_step(m, r)) else ())
     return _tagged(m, _KINDS[r])
+
+
+def step_positions(m: Term, r: Relation) -> list[tuple[str, Path, Term]]:
+    """The steps of iter_steps(m, r), as a list."""
+    return list(iter_steps(m, r))
 
 
 def _keyed_steps(m: Term, r: Relation) -> list[tuple[tuple, Term]]:
     """step(m, r) with each reduct's alpha key: (key, reduct) pairs."""
     out: list[tuple[tuple, Term]] = []
     seen = set()
-    for _, _, reduct in step_positions(m, r):
+    for _, _, reduct in iter_steps(m, r):
         key = alpha_key(reduct)
         if key not in seen:
             seen.add(key)

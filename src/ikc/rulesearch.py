@@ -68,18 +68,15 @@ def derivable_pairs(types: list[CanonType]) -> set[tuple[CanonType, CanonType]]:
     sup: dict[CanonType, set[CanonType]] = {u: set() for u in universe}
     sub: dict[CanonType, set[CanonType]] = {u: set() for u in universe}
 
-    def add(u: CanonType, v: CanonType) -> bool:
-        if v in sup[u]:
-            return False
+    def add(u: CanonType, v: CanonType) -> None:
         sup[u].add(v)
         sub[v].add(u)
-        return True
 
-    # depth-1 axioms
+    # depth-1 axioms: proj, with refl as its case u = v; no round re-derives them
     for group in by_prefix.values():
         for u in group:
             for v in group:
-                if u is v or set(v.comps) <= set(u.comps):
+                if set(v.comps) <= set(u.comps):
                     add(u, v)
 
     for _ in range(3):  # depths 2 to 4
@@ -107,8 +104,6 @@ def _one_rule(
     sub: dict[CanonType, set[CanonType]],
 ) -> bool:
     """Can some rule conclude u <= v from the facts accumulated so far?"""
-    if set(v.comps) <= set(u.comps):
-        return True
     # trans: some w with u <= w <= v
     if not sup[u].isdisjoint(sub[v]):
         return True

@@ -64,7 +64,6 @@ from .errors import DegreeError, InputSyntaxError, JoinabilityError
 from . import sexpr
 
 Index = tuple[int, ...]
-EMPTY: Index = ()
 
 
 def prefix_leq(k: Index, l: Index) -> bool:

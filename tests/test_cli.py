@@ -30,6 +30,11 @@ def test_check_term(capsys):
     assert "(lam x [] x[])" in out
 
 
+def test_check_term_prints_the_degree_and_the_free_variables(capsys):
+    got = run(capsys, "check-term", "(app f[] x[1])")
+    assert got == (0, "(app f[] x[1])\tok\tdegree []; free [f[], x[1]]\n", "")
+
+
 def test_reduce_lists_steps(capsys):
     code, out, _ = run(capsys, "reduce", "(app (lam x [] x[]) y[])")
     assert code == 0
@@ -53,6 +58,19 @@ def test_equiv_falls_back_to_the_normal_forms(capsys):
     assert run(capsys, "equiv", "--fuel", "2", term, "x[]") == (0, "Equivalent\n", "")
 
 
+@pytest.mark.parametrize(
+    "term, other, verdict",
+    [
+        # both normalise within fuel 1, to terms that are not alpha-equal
+        ("(lam v0 [] (app (lam v1 [] v0[]) v0[]))", "(lam z [] (lam w [] z[]))", "Distinct"),
+        # the left term needs two steps to its normal form
+        ("(app (lam v0 [] (app v0[] v0[])) (lam v0 [] v0[]))", "(lam z [] z[])", "Unknown"),
+    ],
+)
+def test_equiv_normal_form_fallback_at_fuel_one(capsys, term, other, verdict):
+    assert run(capsys, "equiv", "--fuel", "1", term, other) == (1, verdict + "\n", "")
+
+
 def test_equiv_eta_pair(capsys):
     code, out, _ = run(
         capsys,
@@ -72,6 +90,17 @@ def test_equiv_distinct_is_nonzero(capsys):
     )
     assert code == 1
     assert "Distinct" in out
+
+
+def test_equiv_of_alpha_variants_starts_no_walk(capsys, monkeypatch):
+    from ikc import reduction
+
+    def no_walk(*args):
+        raise AssertionError("an alpha-equal pair needs no reachable walk")
+
+    monkeypatch.setattr(reduction, "reachable", no_walk)
+    got = run(capsys, "equiv", "(lam x [] x[])", "(lam y [] y[])")
+    assert got == (0, "Equivalent\n", "")
 
 
 def test_subtype_projection(capsys):
@@ -398,6 +427,18 @@ def test_unknown_suite_exits_two(capsys):
     assert code == 2
 
 
+def test_unknown_suite_exits_before_any_suite_runs(capsys, monkeypatch):
+    from ikc import props
+
+    def never(size, seed):
+        raise AssertionError("a suite ran before every name was checked")
+
+    monkeypatch.setitem(props.SUITES, "step-invariants", never)
+    code, out, err = run(capsys, "props", "step-invariants", "nope", "--size", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: unknown suite nope; expected one of ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [[], ["check-term", "->"], ["subtype", "a"], ["nf", "--fuel", "x", "y[]"]],
@@ -685,6 +726,7 @@ def test_check_deriv_ill_formed_subject_exits_two(capsys):
             "",
         ),
         ("(foo)", 2, "", "input error: unknown derivation head 'foo'\n"),
+        ("(ax x (^ a b))", 2, "", "input error: expected a single component at degree []\n"),
     ],
 )
 def test_check_deriv_rule_fault_exits_one_and_syntax_fault_two(capsys, deriv, code, out, err):
@@ -827,6 +869,13 @@ def test_deeply_nested_input_is_an_input_error(verb):
     assert proc.stdout == ""
     assert proc.stderr == "input error: input nested too deeply\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_a_deep_abstraction_chain_is_an_input_error(capsys):
+    # 5,000 nested binders: the term builder still recurses on them
+    term = "(lam x [] " * 5000 + "x[]" + ")" * 5000
+    got = run(capsys, "check-term", term)
+    assert got == (2, "", "input error: input nested too deeply\n")
 
 
 def test_a_deep_reduct_of_a_small_input_prints(capsys):

@@ -24,7 +24,7 @@ from ikc.envs import (
     print_judgment,
     typing_sub,
 )
-from ikc.errors import InputSyntaxError
+from ikc.errors import DegreeError, DomainError, InputSyntaxError
 from ikc.syntax import VarKey, free_vars, parse_term
 from ikc.types import parse_type
 
@@ -65,6 +65,18 @@ def test_env_restrict_and_without():
     m = parse_term("x[]")
     assert env_restrict(g, free_vars(m)) == env("((x [] a))")
     assert env_without(g, key("y")) == env("((x [] a))")
+
+
+def test_env_restrict_names_the_least_unbound_key():
+    g = env("((x [] a))")
+    with pytest.raises(DomainError, match=r"^y\[\] not bound$"):
+        env_restrict(g, [key("x"), key("z", (1,)), key("y")])
+
+
+def test_env_lower_names_a_binding_below_the_prefix():
+    g = env("((x [1] (e 1 a)) (y [] b))")
+    with pytest.raises(DegreeError, match=r"^binding y\[\] cannot lower by \[1\]$"):
+        env_lower(g, (1,))
 
 
 def test_env_pad_binds_exactly_the_keys():

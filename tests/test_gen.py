@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from ikc.gen import (
@@ -8,7 +9,7 @@ from ikc.gen import (
     random_term,
 )
 from ikc.syntax import alpha_canon, is_closed, term_size
-from ikc.types import CanonType
+from ikc.types import CanonType, print_type
 
 
 # ---------------------------------------------------------------- terms
@@ -57,8 +58,16 @@ def test_type_counts_are_stable():
     assert [len(enumerate_canon_types(d)) for d in (1, 2, 3)] == [4, 21, 301]
 
 
+def test_type_order_is_pinned():
+    # element for element: depth 3 is criterion 5's 301-type family
+    assert [print_type(u) for u in enumerate_canon_types(1)] == ["a", "b", "(w [0])", "(w [1])"]
+    printed = "\n".join(print_type(u) for u in enumerate_canon_types(3))
+    assert hashlib.sha256(printed.encode()).hexdigest()[:16] == "585a9b8cb9a8952e"
+    assert len(enumerate_canon_types(4)) == 86_784
+
+
 def test_types_are_canonical():
-    from ikc.types import comp_key, parse_type, print_type
+    from ikc.types import comp_key, parse_type
 
     for u in enumerate_canon_types(3):
         assert isinstance(u, CanonType)

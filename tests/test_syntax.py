@@ -420,6 +420,11 @@ def test_substitute_avoids_capture():
     assert out._fv == {"z": ()}
 
 
+def test_substitute_rejects_a_replacement_of_another_degree():
+    with pytest.raises(DegreeError, match=r"^replacement for x\[1\] has degree \[\]$"):
+        substitute(parse_term("x[1]"), VarKey("x", (1,)), parse_term("y[]"))
+
+
 def test_substitute_ignores_other_indexes():
     m = parse_term("(app x[1] y[1])")
     out = substitute(m, VarKey("x", ()), parse_term("z[]"))

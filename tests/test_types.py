@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from linear_time import assert_linear_build
 
-from ikc.errors import InputSyntaxError, ShapeError
+from ikc.errors import DegreeError, InputSyntaxError, ShapeError
 from ikc.gen import enumerate_canon_types, random_canon_type
 from ikc.props import subtype_oracle_disagreements
 from ikc.rulesearch import closure_universe
@@ -63,6 +63,11 @@ def test_nested_expansion_prefixes():
     assert u.prefix == (2, 1)
     assert lower_type(u, (2, 1)) == pt("(-> a a)")
     assert lower_type(lower_type(u, (2,)), (1,)) == pt("(-> a a)")
+
+
+def test_lower_type_rejects_a_prefix_the_type_lacks():
+    with pytest.raises(DegreeError, match=r"^cannot lower degree \[1\] by \[2\]$"):
+        lower_type(pt("(e 1 a)"), (2,))
 
 
 def test_arrow_requires_bare_result():
