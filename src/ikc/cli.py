@@ -176,9 +176,9 @@ def _cmd_transport(ns) -> int:
     except KernelError as e:
         print(f"failed\t{e}")
         return 1
-    print(print_judgment(d2.judgment))
-    if ns.out:
+    if ns.out:  # written first, so a failed write prints no verdict
         Path(ns.out).write_text(print_derivation(d2) + "\n")
+    print(print_judgment(d2.judgment))
     return 0
 
 
@@ -189,9 +189,9 @@ def _cmd_typecheck(ns) -> int:
     out = bounded_typecheck(m, g, u, ns.fuel)
     match out:
         case Found(d):
-            print(print_judgment(d.judgment))
             if ns.out:
                 Path(ns.out).write_text(print_derivation(d) + "\n")
+            print(print_judgment(d.judgment))
             return 0
         case Refuted(reason):
             print(f"RefutedByGeneration\t{reason}")
@@ -234,7 +234,7 @@ def _cmd_saturation(ns) -> int:
     degree = EXAMPLE_TYPES[ns.tag].degree
     ambient = enumerate_closed(ns.size + 2, degree=degree)
     members = [m for m in ambient if oracle_membership(ns.tag, m, ns.fuel).member]
-    report = saturation_check(members, ambient, Relation(ns.rel), 3)
+    report = saturation_check(members, ambient, Relation(ns.rel))
     for m, hit in report.violations[:10]:
         print(f"{print_term(m)}\tescapes\treaches {print_term(hit)}")
     ok = not report.violations

@@ -142,30 +142,30 @@ def subtype_oracle_disagreements(tys: list[CanonType]) -> list[tuple[CanonType, 
     return [(u, v) for u in tys for v in tys if subtype(u, v) != ((u, v) in facts)]
 
 
-def prop_subtype_oracle(depth: int = 2) -> PropResult:
+def prop_subtype_oracle(depth: int) -> PropResult:
     """Decision procedure against the bounded rule-derivation search."""
     tys = enumerate_canon_types(depth)
     bad = subtype_oracle_disagreements(tys)
     return _result("subtype-oracle", bad, f"{len(tys)} types, {len(tys)**2} pairs agree")
 
 
-def unjoined_peaks(pool: list[Term], relations, depth: int = 3) -> tuple[int, list]:
-    """Check local confluence of every term under every relation.  Returns
-    the number of peaks checked and the unjoined ones as (relation, term,
-    peak term)."""
+def unjoined_peaks(pool: list[Term], relations) -> tuple[int, list]:
+    """Check local confluence, at depth 3, of every term under every
+    relation.  Returns the number of peaks checked and the unjoined ones as
+    (relation, term, peak term)."""
     peaks = 0
     unjoined = []
     for m in pool:
         for rel in relations:
-            report = check_local_confluence(m, rel, depth)
+            report = check_local_confluence(m, rel, 3)
             peaks += report.peaks_checked
             unjoined += [(rel, m, t) for t, _, _ in report.unjoined]
     return peaks, unjoined
 
 
-def prop_local_confluence(size: int, depth: int = 3) -> PropResult:
+def prop_local_confluence(size: int) -> PropResult:
     pool = enumerate_terms(size)
-    _, bad = unjoined_peaks(pool, Relation, depth)
+    _, bad = unjoined_peaks(pool, Relation)
     return _result("local-confluence", bad, f"{len(pool)} terms x {len(Relation)} relations")
 
 

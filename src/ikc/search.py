@@ -159,7 +159,7 @@ def bounded_typecheck(
     m: Term, g: Env, u: CanonType, fuel: int = 100000
 ) -> Outcome:
     """Search for a derivation of m : <g |- u> within fuel (module docstring)."""
-    if frozenset(g.domain()) != free_vars(m):
+    if g.domain() != free_vars(m):
         return Refuted(
             lambda: f"environment domain {print_env(g)} does not bind exactly"
             f" the free variables of {print_term(m)}"

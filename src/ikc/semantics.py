@@ -30,6 +30,7 @@ from itertools import islice
 
 from .envs import env_empty
 from .errors import PreconditionError
+from .gen import enumerate_closed
 from .reduction import LeftmostBeta, Relation, reachable
 from .search import Found, Refuted, Unknown, bounded_typecheck
 from .syntax import (
@@ -207,8 +208,6 @@ def completeness_sample(
 ) -> CompletenessReport:
     """Typecheck every oracle member of enumerate_closed(size_bound) at the
     tag's degree: refutations are hard violations."""
-    from .gen import enumerate_closed
-
     typ = EXAMPLE_TYPES[tag]
     report = CompletenessReport(tag)
     for m in enumerate_closed(size_bound, degree=typ.degree):
@@ -236,15 +235,12 @@ class SaturationReport:
 
 
 def saturation_check(
-    members: list[Term],
-    ambient: list[Term],
-    r: Relation,
-    depth: int,
+    members: list[Term], ambient: list[Term], r: Relation
 ) -> SaturationReport:
     """Expansion closure: anything reducing into the set must be in it.
 
     For every ambient term outside the member set, follow every reduction
-    path for up to depth steps; the first member reached (reduction.reachable
+    path for up to three steps; the first member reached (reduction.reachable
     order) is a violation witness.
     """
     member_keys = {alpha_key(m) for m in members}
@@ -256,21 +252,19 @@ def saturation_check(
             continue
         # one walk steps each key once, so it keeps no step cache, and no
         # alpha-variant leaks between terms; it stops at the first member
-        space = reachable(m, key, r, depth, None)
+        space = reachable(m, key, r, 3, None)
         hit = next((t for k, t in space if k in member_keys), None)
         if hit is not None:
             report.violations.append((m, hit))
     return report
 
 
-def lift_correspondence(
-    tag1: str, tag0: str, sample: list[Term], fuel: int = 2000
-) -> list[Term]:
+def lift_correspondence(tag1: str, tag0: str, sample: list[Term]) -> list[Term]:
     """Terms where membership at the lifted type disagrees with the base."""
     bad = []
     for m in sample:
-        v0 = oracle_membership(tag0, m, fuel)
-        v1 = oracle_membership(tag1, lift(m, 1), fuel)
+        v0 = oracle_membership(tag0, m)
+        v1 = oracle_membership(tag1, lift(m, 1))
         if v0.undecided or v1.undecided or v0.member != v1.member:
             bad.append(m)
     return bad

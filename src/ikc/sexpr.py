@@ -2,9 +2,10 @@
 
 Tokens are '(' ')' '[' ']', naturals and identifiers.  Whitespace and commas
 separate tokens, so "[3, 2]" reads as "[3 2]".  Naturals are decimal digits
-of any script that int() reads; identifiers start with a letter, '_', '-',
-'>' or '^' (so "->" and "^" are atoms) and go on with those, ASCII digits and
-"'".  Any other character is an error, reported before any structural fault.
+of any script that int() reads, and no more of them than int() takes (4,300
+by default); identifiers start with a letter, '_', '-', '>' or '^' (so "->"
+and "^" are atoms) and go on with those, ASCII digits and "'".  Any other
+character is an error, reported before any structural fault.
 
 One pattern (_SCAN) scans the token texts; the reader and tokenize tell
 their kinds apart by the first character.  tokenize computes offsets, only
@@ -32,6 +33,8 @@ _SCAN = re.compile(rf"{_PUNCT}|{_NAT}|{_IDENT}|[^\s,]")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_->^")
 
 Node = object
+
+_TOO_LONG = "natural at offset {1} has too many digits"
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -76,7 +79,10 @@ def _read(text: str, one: bool):
         elif tok == ")" and stack:
             node = stack.pop()[1]
         elif c.isdecimal():
-            node = int(tok)
+            try:
+                node = int(tok)
+            except ValueError:  # more digits than int() reads
+                raise _fault(text, i - 1, _TOO_LONG) from None
         elif tok == "[":
             at = i - 1
             entries: list[int] = []
@@ -91,7 +97,10 @@ def _read(text: str, one: bool):
                     raise _fault(
                         text, i - 1, "index entries must be naturals, got {0!r} at offset {1}"
                     )
-                entries.append(int(tok))
+                try:
+                    entries.append(int(tok))
+                except ValueError:
+                    raise _fault(text, i - 1, _TOO_LONG) from None
             node = ("index", entries)
         else:
             raise _fault(text, i - 1, "unexpected {0!r} at offset {1}")

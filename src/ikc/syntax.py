@@ -24,9 +24,8 @@ invariant makes sound, and a new result is first looked up by its contents.
 So no map is mutated once made, and building a node allocates no map once
 its set has been seen.  The map is the one record of a term's free
 variables: free_vars, joinable and the layers above read it, and none
-rebuilds it.  A JoinabilityError names the first clashing name in a fixed
-order of the argument's free names (_fv_order), not in the order the
-shared map happens to hold.
+rebuilds it.  A JoinabilityError names the least clashing name, so its
+text does not hang on the order the shared map happens to hold.
 
 Each node also stores its redex mask (redexes): BETA_BIT is set when the node
 contains a beta redex (an App (lam x^L. P) Q with d(Q) = L) and ETA_BIT when
@@ -39,12 +38,12 @@ mask is the class constant 0.
 
 _fold is the one bottom-up explicit-stack walk over a term, with a builder
 per node kind: lift and lower (through _reindex, which maps every Index;
-lower strips a whole prefix, like types.lower_type), all_names and
-_fv_order are calls of it.  is_lift decides n == lift(m, i) by one walk
-that builds no term, so a rule node that is handed its subject checks it
-instead of lifting.  alpha_canon is read back from alpha_key, whose one
-walk numbers the binders.  print_term is an explicit-stack walk too, so a
-term of any depth prints.  substitute takes one binding, all that beta
+lower strips a whole prefix, like types.lower_type) and all_names are
+calls of it.  is_lift decides n == lift(m, i) by one walk that builds no
+term, so a rule node that is handed its subject checks it instead of
+lifting.  alpha_canon is read back from alpha_key, whose one walk numbers
+the binders.  print_term is an explicit-stack walk too, so a term of any
+depth prints.  substitute takes one binding, all that beta
 contraction and the substitution lemma need; its one walk, which recurses
 like term_at, renames a capturing binder before it substitutes under it.
 
@@ -213,10 +212,10 @@ class App(_Node):
 
 def _merged(fun: "Term", arg: "Term") -> dict[str, Index]:
     """The map of App(fun, arg), made and kept in _APP_FV, or the
-    JoinabilityError that names the first clashing name in _fv_order(arg)."""
+    JoinabilityError that names the least clashing name."""
     ffv, afv = fun._fv, arg._fv
     if not joinable(fun, arg):
-        name = next(n for n in _fv_order(arg) if ffv.get(n, afv[n]) != afv[n])
+        name = min(n for n, i in afv.items() if ffv.get(n, i) != i)
         raise JoinabilityError(
             f"{name} free at {index_str(ffv[name])} and {index_str(afv[name])}"
         )
@@ -247,29 +246,6 @@ def _fold(m: "Term", var, abs_, app):
                 a = built.pop()
                 built.append(app(t, built.pop(), a))
     return built[0]
-
-
-def _fv_order(m: "Term") -> list[str]:
-    """The free names of m in one fixed order, which the error texts follow
-    whatever order the table's map holds: a variable's name; an abstraction's
-    body order less its binder; for an application, the order of a part
-    whose map holds the other's (the function's on a tie), else the
-    function's order followed by the argument's names the function lacks.
-    One fold, run only to name a clash."""
-    def abs_(t: Abs, order: list[str]) -> list[str]:
-        if t.body._fv.get(t.var) == t.idx:
-            order.remove(t.var)
-        return order
-
-    def app(t: App, f: list[str], a: list[str]) -> list[str]:
-        ffv, afv = t.fun._fv, t.arg._fv
-        if len(ffv) >= len(afv) and afv.items() <= ffv.items():
-            return f
-        if len(ffv) < len(afv) and ffv.items() <= afv.items():
-            return a
-        return f + [n for n in a if n not in ffv]
-
-    return _fold(m, lambda t: [t.name], abs_, app)
 
 
 Term = Union[Var, Abs, App]
@@ -433,7 +409,7 @@ def substitute(m: Term, x: VarKey, n: Term) -> Term:
         return m
     # the key's entry disappears, so x itself cannot clash
     if not all(y == name or fv.get(y, i) == i for y, i in nfv.items()):
-        y = next(y for y in _fv_order(n) if y != name and fv.get(y, nfv[y]) != nfv[y])
+        y = min(y for y, i in nfv.items() if y != name and fv.get(y, i) != i)
         raise JoinabilityError(f"{y} free at {index_str(fv[y])} and {index_str(nfv[y])}")
     return _subst(m, name, l, n, Avoid(m, n))
 

@@ -95,9 +95,8 @@ from .derivations import (
     sub_to,
     var_intro,
 )
-from .reduction import Relation, iter_steps
+from .reduction import Path, Relation, iter_steps
 
-Path = tuple[str, ...]
 Trail = tuple[tuple[str, Path, Term], ...]  # (kind, path, reduct) steps
 
 

@@ -134,7 +134,7 @@ def mk_canon(prefix: Index, comps) -> CanonType:
     return CanonType(prefix, tuple(sorted(set(comps), key=comp_key)))
 
 
-def omega(prefix: Index = ()) -> CanonType:
+def omega(prefix: Index) -> CanonType:
     return CanonType(prefix, ())
 
 

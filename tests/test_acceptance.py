@@ -140,7 +140,7 @@ def test_criterion_3_step_invariants(enum7):
 def test_criterion_4_local_confluence(enum7):
     t0 = time.perf_counter()
     rels = (Relation.BETA, Relation.ETA, Relation.BETAETA, Relation.H)
-    peaks, unjoined = unjoined_peaks(enum7, rels, 3)
+    peaks, unjoined = unjoined_peaks(enum7, rels)
     dt = time.perf_counter() - t0
     assert not unjoined, [(rel.value, print_term(t)) for rel, _, t in unjoined[:5]]
     assert peaks == 3174

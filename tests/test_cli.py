@@ -226,6 +226,22 @@ def test_failed_transports_print_one_line_and_exit_one(capsys, tmp_path, argv, o
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sr", str(CORPUS / "id0-redex.drv"), "--", "(lam y [] y[])"],
+        ["expand", str(CORPUS / "id0.drv"), "--", "(app (lam z [] z[]) (lam y [] y[]))"],
+        ["typecheck", "--type", "(-> a a)", "--", "(lam x [] x[])"],
+    ],
+    ids=["sr", "expand", "typecheck"],
+)
+def test_a_failed_out_write_prints_no_verdict(capsys, tmp_path, argv):
+    out_file = tmp_path / "missing" / "f.drv"
+    code, out, err = run(capsys, *argv[:-2], "--out", str(out_file), *argv[-2:])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "deriv, term, code, out",
     [
         (
@@ -755,6 +771,22 @@ def test_digit_int_cannot_read_is_an_input_error(capsys, argv, offset):
     assert out == ""
     assert err == f"input error: unexpected character '²' at offset {offset}\n"
     assert "Traceback" not in err
+
+
+_NINES = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["check-term", f"x[{_NINES}]"], 2),
+        (["check-deriv", f"(exp {_NINES} (ax x a))"], 5),
+    ],
+    ids=["index-entry", "expansion-count"],
+)
+def test_a_natural_int_cannot_read_is_an_input_error(capsys, argv, offset):
+    got = run(capsys, *argv)
+    assert got == (2, "", f"input error: natural at offset {offset} has too many digits\n")
 
 
 # ---------------------------------------------------------------- fuzz

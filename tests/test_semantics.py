@@ -173,7 +173,7 @@ def test_completeness_small_id0_and_d():
 def test_saturation_members_closed_under_expansion():
     ambient = enumerate_closed(7)
     members = [m for m in ambient if oracle_membership("id0", m).member]
-    rep = saturation_check(members, ambient, Relation.BETA, 3)
+    rep = saturation_check(members, ambient, Relation.BETA)
     assert rep.violations == []
 
 
@@ -208,7 +208,7 @@ def test_saturation_stops_at_the_witness_the_whole_walk_finds():
     ambient = enumerate_terms(6)[::3]
     total = 0
     for r in Relation:
-        rep = saturation_check(members, ambient, r, 3)
+        rep = saturation_check(members, ambient, r)
         got = [(print_term(m), print_term(w)) for m, w in rep.violations]
         assert got == _reference_saturation(members, ambient, r, 3), r
         total += len(got)

